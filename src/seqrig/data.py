@@ -77,10 +77,6 @@ class PlainTextReader:
                 out.append(ids)
         return out
 
-    def read_tokens(self, path) -> list[list[str]]:
-        with open(path, encoding="utf-8") as fh:
-            return [line.split() for line in fh]
-
 
 class FeatureReader:
     """Reader for precomputed feature matrices in the text container format."""
@@ -114,8 +110,16 @@ class FeatureReader:
                 vals = lines[i].split()
                 if len(vals) != dim:
                     raise DataError(f"{path}:{i + 1}: row has {len(vals)} values, expected {dim}")
-                rows.append([float(v) for v in vals])
-            out.append(np.asarray(rows, dtype=np.float64).reshape(n_frames, dim))
+                try:
+                    rows.append([float(v) for v in vals])
+                except ValueError:
+                    raise DataError(f"{path}:{i + 1}: non-numeric feature value") from None
+            feats = np.asarray(rows, dtype=np.float64).reshape(n_frames, dim)
+            finite = np.isfinite(feats).all(axis=1)
+            if not finite.all():
+                raise DataError(f"{path}:{lineno + 1 + int(np.argmin(finite))}: "
+                                f"non-finite feature value")
+            out.append(feats)
             i += 1
         return out
 
@@ -143,17 +147,13 @@ class Batch:
         return int(self.trg_mask.sum())
 
 
-def _src_len(item) -> int:
-    return len(item)
-
-
 def pair_corpora(src, trg) -> list[tuple]:
     """Zip parallel corpora, dropping empty-source pairs with a warning."""
     if len(src) != len(trg):
         raise DataError(f"parallel corpora differ in length: {len(src)} vs {len(trg)}")
     pairs = []
     for i, (s, t) in enumerate(zip(src, trg)):
-        if _src_len(s) == 0:
+        if len(s) == 0:
             warnings.warn(f"skipping pair {i}: empty source sequence")
             continue
         pairs.append((i, s, t))
@@ -200,7 +200,7 @@ class SrcBatcher:
         pairs = pair_corpora(src, trg)
         if not pairs:
             raise DataError("empty corpus")
-        pairs.sort(key=lambda p: _src_len(p[1]))
+        pairs.sort(key=lambda p: len(p[1]))
         batches = []
         for start in range(0, len(pairs), self.batch_size):
             chunk = pairs[start:start + self.batch_size]

@@ -134,11 +134,20 @@ class BiLSTMSeqTransducer:
     def final_state_layers(self) -> int:
         return self.layers
 
+    def _upper_input_dim(self) -> int:
+        """Input dim of every layer above the first."""
+        return self.hidden_dim
+
+    @staticmethod
+    def _pair(xs: list[Expr], mask: np.ndarray) -> tuple[list[Expr], np.ndarray]:
+        """Between-layer step; the plain stack passes states through."""
+        return xs, mask
+
     def finalize(self, input_dim: int) -> None:
         if self._stack:
             return
         for i in range(self.layers):
-            dim_in = input_dim if i == 0 else self.hidden_dim
+            dim_in = input_dim if i == 0 else self._upper_input_dim()
             self._stack.append(_BiLstmLayer(self.runtime, f"{self.name}.layer{i}",
                                             dim_in, self.hidden_dim))
 
@@ -146,13 +155,16 @@ class BiLSTMSeqTransducer:
         if not xs:
             raise ValueError("cannot transduce an empty sequence")
         finals = []
-        for layer in self._stack:
+        for i, layer in enumerate(self._stack):
+            if i > 0:
+                xs, mask = self._pair(xs, mask)
             xs, final = layer.transduce(xs, mask, self.dropout, train)
             finals.append(final)
-        return EncodedSeq(states=xs, final_states=finals, mask=mask)
+        return EncodedSeq(states=xs, final_states=finals[-self.final_state_layers:],
+                          mask=mask)
 
 
-class PyramidalLSTMSeqTransducer:
+class PyramidalLSTMSeqTransducer(BiLSTMSeqTransducer):
     """Pyramidal bidirectional LSTM stack.
 
     The first layer is a plain BiLSTM; every further layer concatenates
@@ -161,32 +173,12 @@ class PyramidalLSTMSeqTransducer:
     T_l = ceil(T_{l-1} / 2) and total subsampling is 2^(layers-1).
     """
 
-    def __init__(self, runtime: Runtime, name: str, layers: int = 3,
-                 hidden_dim: int = 512, dropout: float = 0.0):
-        if layers < 1:
-            raise ValueError("layers must be >= 1")
-        self.runtime = runtime
-        self.name = name
-        self.layers = layers
-        self.hidden_dim = hidden_dim
-        self.dropout = dropout
-        self._stack: list[_BiLstmLayer] = []
-
-    @property
-    def output_dim(self) -> int:
-        return self.hidden_dim
-
     @property
     def final_state_layers(self) -> int:
         return 1  # only the topmost layer's finals are exposed
 
-    def finalize(self, input_dim: int) -> None:
-        if self._stack:
-            return
-        for i in range(self.layers):
-            dim_in = input_dim if i == 0 else 2 * self.hidden_dim
-            self._stack.append(_BiLstmLayer(self.runtime, f"{self.name}.layer{i}",
-                                            dim_in, self.hidden_dim))
+    def _upper_input_dim(self) -> int:
+        return 2 * self.hidden_dim
 
     @staticmethod
     def _pair(xs: list[Expr], mask: np.ndarray) -> tuple[list[Expr], np.ndarray]:
@@ -200,16 +192,6 @@ class PyramidalLSTMSeqTransducer:
             out.append(T.concat([left, right], axis=1))
             new_mask[:, t] = mask[:, 2 * t]
         return out, new_mask
-
-    def transduce(self, xs: list[Expr], mask: np.ndarray, train: bool) -> EncodedSeq:
-        if not xs:
-            raise ValueError("cannot transduce an empty sequence")
-        final = None
-        for i, layer in enumerate(self._stack):
-            if i > 0:
-                xs, mask = self._pair(xs, mask)
-            xs, final = layer.transduce(xs, mask, self.dropout, train)
-        return EncodedSeq(states=xs, final_states=[final], mask=mask)
 
 
 # ---------------------------------------------------------------------------

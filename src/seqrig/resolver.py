@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from .configlang import (ALIAS, MAPPING, SCALAR, SEQUENCE, ConfigNode, Loc,
-                         node_at_path)
+                         iter_nodes, node_at_path)
 from .tensor import Runtime
 
 
@@ -81,10 +81,6 @@ class Registry:
         return list(self._schemas)
 
 
-def register_component(registry: Registry, schema: ComponentSchema) -> Registry:
-    return registry.register(schema)
-
-
 @dataclass
 class BuildContext:
     """Handed to every component factory."""
@@ -113,20 +109,10 @@ class ComponentGraph:
 def substitute_placeholders(root: ConfigNode, exp_name: str) -> ConfigNode:
     """Replace every ``{EXP}`` inside string scalars with the experiment name."""
     out = root.copy()
-    for node in _walk(out):
+    for node in iter_nodes(out):
         if node.kind == SCALAR and isinstance(node.value, str):
             node.value = node.value.replace("{EXP}", exp_name)
     return out
-
-
-def _walk(node: ConfigNode):
-    yield node
-    if node.kind == MAPPING:
-        for _, child in node.children:
-            yield from _walk(child)
-    elif node.kind == SEQUENCE:
-        for child in node.children:
-            yield from _walk(child)
 
 
 def fill_defaults(node: ConfigNode, schema: ComponentSchema, exp_global) -> dict[str, Any]:
@@ -281,7 +267,7 @@ def instantiate_graph(root: ConfigNode, registry: Registry, exp_name: str,
     if root.kind != MAPPING or root.tag != "Experiment":
         raise ResolveError("experiment root must be a mapping tagged !Experiment",
                            loc=root.loc)
-    for node in _walk(root):
+    for node in iter_nodes(root):
         if node.kind == ALIAS:
             raise ResolveError("tree still contains unresolved aliases; run "
                                "resolve_anchors first", loc=node.loc)

@@ -181,16 +181,9 @@ class ParamSet:
     def get(self, name: str) -> Parameter:
         return self._params[name]
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def total_size(self) -> int:
         """Number of stored floats; shared parameters count once."""
         return sum(p.size() for p in self._params.values())
-
-    def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.grad[...] = 0.0
 
 
 class Runtime:

@@ -1,5 +1,8 @@
 """Training: losses, regimens, dev-driven LR decay, checkpointing.
 
+Both regimens run through one round-robin loop, :func:`train_round_robin`;
+single-task training is its one-task case.
+
 Loss values are summed over tokens for the optimizer and divided by the
 token count for logging, so logged loss/word is batch-size independent.
 Gradients get a single global-norm clip at 5.0 before every step.
@@ -48,16 +51,6 @@ class TrainContext:
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
-
-
-def mle_loss(model, batch: Batch, smoothing: float = 0.0):
-    """Teacher-forced cross-entropy with optional label smoothing.
-
-    Per position the target distribution is (1-eps) on the gold token plus
-    eps/V uniform; padded positions contribute exactly zero.  Returns the
-    summed loss node and the real-token count.
-    """
-    return model.calc_loss(batch, train=True, label_smoothing=smoothing)
 
 
 def reinforce_surrogate(neg_logprob_sum: T.Expr, reward: float, baseline: float) -> T.Expr:
@@ -193,7 +186,10 @@ def run_dev_tasks_and_decay(dev_tasks, record: DevRecord, trainer, decay: dict,
 
 
 class SimpleTrainingRegimen:
-    """Epoch-based training of one model on one parallel corpus."""
+    """Epoch-based training of one model on one parallel corpus.
+
+    Runs as the one-task case of :func:`train_round_robin`.
+    """
 
     def __init__(self, run_for_epochs: int, src_file: str, trg_file: str,
                  batcher: Optional[SrcBatcher] = None, dev_tasks=None, trainer=None,
@@ -224,7 +220,7 @@ class SimpleTrainingRegimen:
 
     def _calc_loss(self, model, batch: Batch, rng):
         if self.loss == "mle":
-            return mle_loss(model, batch, self.label_smoothing)
+            return model.calc_loss(batch, train=True, label_smoothing=self.label_smoothing)
         loss, mean_reward, n_tokens = reinforce_loss(model, batch, bleu_reward,
                                                      self._baseline, rng)
         self._baseline = BASELINE_DECAY * self._baseline + (1 - BASELINE_DECAY) * mean_reward
@@ -241,29 +237,7 @@ class SimpleTrainingRegimen:
         return float(loss.value), n_tokens
 
     def run(self, ctx: TrainContext, default_model=None) -> None:
-        model = self.model if self.model is not None else default_model
-        if model is None:
-            raise TrainingError("training regimen has no model")
-        src = model.src_reader.read(self.src_file)
-        trg = model.trg_reader.read(self.trg_file, add_eos=True)
-        batches = self.batcher.make_batches(src, trg)
-        for epoch in range(1, self.run_for_epochs + 1):
-            epoch_loss = 0.0
-            words = 0
-            for index, batch in enumerate(SrcBatcher.shuffled(batches, ctx.runtime.rng)):
-                loss_value, n_tokens = self._train_batch(model, batch, ctx.runtime, epoch, index)
-                epoch_loss += loss_value
-                words += n_tokens
-            ctx.logger.write({"epoch": epoch, "words": words, "loss/word": epoch_loss / max(words, 1)})
-            if self.dev_tasks:
-                improved = run_dev_tasks_and_decay(self.dev_tasks, self._record,
-                                                   self.trainer, self.lr_decay, model,
-                                                   ctx.runtime, ctx.logger)
-                if improved and ctx.model_file and ctx.exp is not None:
-                    save_checkpoint(ctx.exp, ctx.model_file)
-        if (not self.dev_tasks and self.run_for_epochs > 0
-                and ctx.model_file and ctx.exp is not None):
-            save_checkpoint(ctx.exp, ctx.model_file)
+        train_round_robin([self], ctx, default_model)
 
 
 class MultiTaskRegimen:
@@ -271,9 +245,8 @@ class MultiTaskRegimen:
 
     Each task is a SimpleTrainingRegimen with its own model (components may
     be shared across tasks via config references), its own data, loss, and
-    optimizer.  A task leaves the cycle once it has finished its own epoch
-    budget.  Dev evaluation and decay run at each task's epoch boundaries;
-    checkpointing follows the first task's dev improvements.
+    optimizer.  See :func:`train_round_robin` for the schedule, dev
+    evaluation and checkpointing.
     """
 
     def __init__(self, tasks):
@@ -282,53 +255,79 @@ class MultiTaskRegimen:
         self.tasks = list(tasks)
 
     def run(self, ctx: TrainContext, default_model=None) -> None:
-        states = []
-        for i, task in enumerate(self.tasks):
-            model = task.model if task.model is not None else default_model
-            if model is None:
-                raise TrainingError(f"task {i} has no model")
-            src = model.src_reader.read(task.src_file)
-            trg = model.trg_reader.read(task.trg_file, add_eos=True)
-            batches = task.batcher.make_batches(src, trg)
-            states.append({
-                "task": task, "model": model, "batches": batches,
-                "queue": [], "epoch": 0, "loss": 0.0, "words": 0, "index": 0,
-                "name": task.name or f"task{i}",
-            })
-        while True:
-            busy = False
-            for i, st in enumerate(states):
-                task = st["task"]
-                if st["epoch"] >= task.run_for_epochs and not st["queue"]:
-                    continue
-                busy = True
-                if not st["queue"]:
-                    st["queue"] = list(SrcBatcher.shuffled(st["batches"], ctx.runtime.rng))
-                    st["loss"] = 0.0
-                    st["words"] = 0
-                    st["index"] = 0
-                batch = st["queue"].pop(0)
-                try:
-                    loss_value, n_tokens = task._train_batch(
-                        st["model"], batch, ctx.runtime, st["epoch"] + 1, st["index"])
-                except TrainingError as err:
+        train_round_robin(self.tasks, ctx, default_model)
+
+
+@dataclass
+class _TaskRun:
+    """Progress of one task through its epochs."""
+
+    task: SimpleTrainingRegimen
+    model: object
+    batches: list[Batch]
+    order: list[Batch] = field(default_factory=list)  # this epoch's shuffled batches
+    index: int = 0
+    epoch: int = 0
+    loss: float = 0.0
+    words: int = 0
+
+
+def train_round_robin(tasks: list[SimpleTrainingRegimen], ctx: TrainContext,
+                      default_model=None) -> None:
+    """Train ``tasks`` in strict round robin, one batch per task per cycle.
+
+    Every task reshuffles its batches from the experiment stream at the start
+    of each of its epochs and leaves the cycle after ``run_for_epochs``.  At
+    each task's epoch end its epoch line is logged and its dev tasks run and
+    drive its learning-rate decay.  The checkpoint follows the first task: it
+    is saved on each strict improvement of that task's dev score or, when the
+    first task has no dev tasks, once at the end.  With more than one task,
+    epoch lines carry a ``task=<name>`` key and errors name the task.
+    """
+    multi = len(tasks) > 1
+    can_save = bool(ctx.model_file) and ctx.exp is not None
+    runs = []
+    for i, task in enumerate(tasks):
+        model = task.model if task.model is not None else default_model
+        if model is None:
+            raise TrainingError(f"task {i} has no model" if multi
+                                else "training regimen has no model")
+        src = model.src_reader.read(task.src_file)
+        trg = model.trg_reader.read(task.trg_file, add_eos=True)
+        runs.append(_TaskRun(task, model, task.batcher.make_batches(src, trg)))
+    while any(run.epoch < run.task.run_for_epochs for run in runs):
+        for i, run in enumerate(runs):
+            task = run.task
+            if run.epoch >= task.run_for_epochs:
+                continue
+            if run.index == len(run.order):
+                run.order = SrcBatcher.shuffled(run.batches, ctx.runtime.rng)
+                run.index, run.loss, run.words = 0, 0.0, 0
+            try:
+                loss_value, n_tokens = task._train_batch(
+                    run.model, run.order[run.index], ctx.runtime, run.epoch + 1, run.index)
+            except TrainingError as err:
+                if multi:
                     raise TrainingError(f"task {i}: {err}") from err
-                st["index"] += 1
-                st["loss"] += loss_value
-                st["words"] += n_tokens
-                if not st["queue"]:
-                    st["epoch"] += 1
-                    ctx.logger.write({"task": st["name"], "epoch": st["epoch"],
-                                      "words": st["words"],
-                                      "loss/word": st["loss"] / max(st["words"], 1)})
-                    if task.dev_tasks:
-                        improved = run_dev_tasks_and_decay(task.dev_tasks, task._record,
-                                                           task.trainer, task.lr_decay,
-                                                           st["model"], ctx.runtime, ctx.logger)
-                        if i == 0 and improved and ctx.model_file and ctx.exp is not None:
-                            save_checkpoint(ctx.exp, ctx.model_file)
-            if not busy:
-                break
+                raise
+            run.index += 1
+            run.loss += loss_value
+            run.words += n_tokens
+            if run.index < len(run.order):
+                continue
+            run.epoch += 1
+            line = {"task": task.name or f"task{i}"} if multi else {}
+            line.update({"epoch": run.epoch, "words": run.words,
+                         "loss/word": run.loss / max(run.words, 1)})
+            ctx.logger.write(line)
+            if task.dev_tasks:
+                improved = run_dev_tasks_and_decay(task.dev_tasks, task._record,
+                                                   task.trainer, task.lr_decay, run.model,
+                                                   ctx.runtime, ctx.logger)
+                if i == 0 and improved and can_save:
+                    save_checkpoint(ctx.exp, ctx.model_file)
+    if can_save and not tasks[0].dev_tasks and any(t.run_for_epochs > 0 for t in tasks):
+        save_checkpoint(ctx.exp, ctx.model_file)
 
 
 # ---------------------------------------------------------------------------
@@ -347,28 +346,49 @@ def save_weights(params, path) -> None:
 
 
 def load_weights(path) -> dict[str, np.ndarray]:
+    """Strictly read a ``save_weights`` file; every defect names path and line."""
     out: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     i = 0
     while i < len(lines):
+        head_line = i + 1
         head = lines[i].split()
-        if not head or head[0] != "param":
-            raise TrainingError(f"{path}:{i + 1}: expected a 'param' header")
-        name, rank = head[1], int(head[2])
-        dims = tuple(int(d) for d in head[3:3 + rank])
+        if len(head) < 3 or head[0] != "param":
+            raise TrainingError(f"{path}:{head_line}: expected a "
+                                f"'param <name> <rank> <dims>' header")
+        name = head[1]
+        if not all(tok.isdecimal() for tok in head[2:]):
+            raise TrainingError(f"{path}:{head_line}: rank and dims must be "
+                                f"non-negative integers")
+        rank, dims = int(head[2]), tuple(int(d) for d in head[3:])
         if len(dims) != rank:
-            raise TrainingError(f"{path}:{i + 1}: header dims do not match rank")
-        n_rows = 1 if rank == 0 else int(np.prod(dims[:-1], dtype=np.int64)) if rank > 1 else 1
-        values = []
-        for r in range(n_rows):
-            i += 1
-            values.extend(float(v) for v in lines[i].split())
-        arr = np.asarray(values, dtype=np.float64).reshape(dims)
+            raise TrainingError(f"{path}:{head_line}: header dims do not match rank")
         if name in out:
-            raise TrainingError(f"{path}: duplicate parameter '{name}'")
-        out[name] = arr
-        i += 1
+            raise TrainingError(f"{path}:{head_line}: duplicate parameter '{name}'")
+        n_cols = dims[-1] if dims else 1
+        n_rows = int(np.prod(dims[:-1], dtype=np.int64)) if dims else 1
+        if head_line + n_rows > len(lines):
+            raise TrainingError(f"{path}:{len(lines)}: file ends inside parameter '{name}' "
+                                f"({len(lines) - head_line} of {n_rows} rows)")
+        values: list[float] = []
+        for i in range(head_line, head_line + n_rows):
+            row = lines[i].split()
+            if len(row) != n_cols:
+                raise TrainingError(f"{path}:{i + 1}: parameter '{name}' row has "
+                                    f"{len(row)} values, expected {n_cols}")
+            try:
+                values.extend(map(float, row))
+            except ValueError:
+                raise TrainingError(f"{path}:{i + 1}: parameter '{name}' has a "
+                                    f"non-numeric value") from None
+        arr = np.asarray(values, dtype=np.float64)
+        finite = np.isfinite(arr)
+        if not finite.all():
+            bad_line = head_line + 1 + int(np.argmin(finite)) // n_cols
+            raise TrainingError(f"{path}:{bad_line}: parameter '{name}' has a non-finite value")
+        out[name] = arr.reshape(dims)
+        i = head_line + n_rows
     return out
 
 

@@ -94,6 +94,19 @@ class TestFeatureReader:
         with pytest.raises(DataError, match=":3"):
             FeatureReader().read(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, bad):
+        path = tmp_path / "f"
+        path.write_text(f"utt u1 1 2\n1 2\nutt u2 3 2\n1 2\n3 {bad}\n5 6\n")
+        with pytest.raises(DataError, match=r"f:5: non-finite"):
+            FeatureReader().read(path)
+
+    def test_non_numeric_value_reports_line(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_text("utt u1 2 2\n1 2\nabc 4\n")
+        with pytest.raises(DataError, match=r"f:3: non-numeric"):
+            FeatureReader().read(path)
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "f"
         path.write_text("utterance u1 2 3\n")

@@ -200,6 +200,19 @@ class TestPyramid:
         for x, y in zip(a.states, b.states):
             np.testing.assert_allclose(x.value, y.value, atol=1e-15)
 
+    def test_parameters_are_named_and_shaped_per_layer_in_order(self):
+        enc = self.make(2, input_dim=3, hidden=4)
+        got = [(p.name, p.shape) for p in enc.runtime.params]
+        expected = []
+        for layer, dim_in in (("layer0", 3), ("layer1", 8)):
+            for direction in ("fwd", "bwd"):
+                name = f"enc.{layer}.{direction}"
+                expected += [(f"{name}.w_x", (dim_in, 8)), (f"{name}.w_h", (2, 8)),
+                             (f"{name}.b", (8,))]
+        assert got == expected
+        out = enc.transduce([const(np.zeros((1, 3)))] * 4, np.ones((1, 4)), False)
+        assert len(out.final_states) == enc.final_state_layers == 1
+
     def test_pair_masks_follow_first_frame(self):
         enc = self.make(2)
         xs = [const(np.zeros((1, 3))) for _ in range(5)]

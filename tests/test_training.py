@@ -260,6 +260,31 @@ class TestWeightsRoundTrip:
             assert loaded[p.name].shape == p.value.shape
             np.testing.assert_array_equal(loaded[p.name], p.value)  # bitwise
 
+    @pytest.mark.parametrize("line, text, match", [
+        (2, None, r"w\.txt:2: file ends inside parameter 'a\.w'"),
+        (3, "1 2 3", r"w\.txt:3: parameter 'a\.w' row has 3 values, expected 4"),
+        (5, "1 2 3 4", r"w\.txt:5: parameter 'a\.b' row has 4 values, expected 3"),
+        (3, "1 nan 3 4", r"w\.txt:3: parameter 'a\.w' has a non-finite value"),
+        (7, "-inf", r"w\.txt:7: parameter 'c' has a non-finite value"),
+        (5, "1 abc 3", r"w\.txt:5: parameter 'a\.b' has a non-numeric value"),
+        (4, "param a.b x 3", r"w\.txt:4: rank and dims must be non-negative integers"),
+        (1, "param a.w 2 2 4.0", r"w\.txt:1: rank and dims must be non-negative integers"),
+        (1, "param a.w 2 -1 4", r"w\.txt:1: rank and dims must be non-negative integers"),
+        (4, "param a.b 1 3 9", r"w\.txt:4: header dims do not match rank"),
+    ], ids=["truncated", "short-row", "long-row", "nan", "inf", "non-numeric",
+            "rank-not-int", "dim-not-int", "dim-negative", "extra-dim"])
+    def test_defects_name_path_and_line(self, tmp_path, line, text, match):
+        params = [Parameter("a.w", np.ones((2, 4))), Parameter("a.b", np.ones(3)),
+                  Parameter("c", np.asarray(1.0))]
+        path = tmp_path / "w.txt"
+        save_weights(params, path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 7
+        lines = lines[:line] if text is None else lines[:line - 1] + [text] + lines[line:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TrainingError, match=match):
+            load_weights(path)
+
     def test_shape_mismatch_names_first_offending_parameter(self, tmp_path):
         model, runtime = tiny_translator(seed=0, dim=4)
         save_weights(runtime.params, tmp_path / "w.txt")
@@ -347,6 +372,7 @@ class TestSimpleRegimen:
         epoch_lines = [l for l in logger.lines if " epoch=" in l]
         assert epoch_lines[0].startswith("[copytrain] epoch=1 words=")
         assert "loss/word=" in epoch_lines[0]
+        assert not any("task=" in l for l in epoch_lines)
         dev_lines = [l for l in logger.lines if " dev " in l]
         assert dev_lines and "lr=0.001" in dev_lines[0]
 
@@ -386,9 +412,31 @@ class TestSimpleRegimen:
         regimen = exp.train
         assert regimen._baseline != 0.0  # EMA moved after one epoch
 
+    def test_equals_hand_written_epoch_loop(self, copy_data, tmp_path):
+        text = copy_config(copy_data, tmp_path, epochs=2, dim=8, dev=False)
+        exp = instantiate(text, "copytrain")
+        ctx = TrainContext(exp_name="copytrain", runtime=exp.runtime,
+                           logger=CaptureLogger())
+        exp.train.run(ctx, default_model=exp.model)
+        trained = {p.name: p.value.copy() for p in exp.runtime.params}
+
+        oracle = instantiate(text, "copytrain")  # identical init (same seed)
+        model, trainer = oracle.model, oracle.train.trainer
+        src = model.src_reader.read(oracle.train.src_file)
+        trg = model.trg_reader.read(oracle.train.trg_file, add_eos=True)
+        batches = SrcBatcher(16).make_batches(src, trg)
+        for _ in range(2):  # epochs
+            for batch in SrcBatcher.shuffled(batches, oracle.runtime.rng):
+                loss, _ = model.calc_loss(batch, train=True)
+                backward(loss)
+                clip_global_norm(oracle.runtime.params, 5.0)
+                trainer.step(oracle.runtime.params)
+        for p in oracle.runtime.params:
+            np.testing.assert_allclose(p.value, trained[p.name], atol=0, rtol=0)
+
 
 def multitask_config(data, out, shared_model_ref: bool, epochs=2, lr0=0.1, lr1=0.1,
-                     disjoint=False, share_encoder=False, seed=13):
+                     disjoint=False, share_encoder=False, seed=13, model_file=""):
     def model_block(indent, ref_src=False):
         pad = " " * indent
         if ref_src:
@@ -416,6 +464,7 @@ def multitask_config(data, out, shared_model_ref: bool, epochs=2, lr0=0.1, lr1=0
     return f"""\
 multi: !Experiment
   exp_global: !ExpGlobal
+    model_file: "{model_file}"
     default_layer_dim: 8
     seed: {seed}
   train: !MultiTaskRegimen
@@ -496,6 +545,21 @@ class TestMultiTask:
         for p in exp.runtime.params:
             if p.name.startswith("train.tasks.1.model"):
                 np.testing.assert_array_equal(p.value, before[p.name])
+
+    def test_checkpoint_at_end_without_dev_tasks(self, copy_data, tmp_path):
+        text = multitask_config(copy_data, tmp_path, shared_model_ref=False,
+                                share_encoder=True, model_file=tmp_path / "multi.mod")
+        exp = instantiate(text, "multi")
+        logger = CaptureLogger("multi")
+        exp.run(logger)
+        epoch_lines = [l for l in logger.lines if " epoch=" in l]
+        assert len(epoch_lines) == 4
+        assert all(l.startswith("[multi] task=task") for l in epoch_lines)
+        spec, weights = load_checkpoint(tmp_path / "multi.mod")
+        fresh = instantiate_graph(spec.children[0][1], default_registry(), "multi")
+        apply_weights(fresh.runtime.params, weights)
+        for p in exp.runtime.params:
+            np.testing.assert_array_equal(fresh.runtime.params.get(p.name).value, p.value)
 
     def test_needs_at_least_two_tasks(self):
         from seqrig.training import MultiTaskRegimen
