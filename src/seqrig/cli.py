@@ -23,7 +23,8 @@ from .data import gen_synthetic, gen_synthetic_features, write_vocab
 from .log import Logger, fmt_value
 from .metrics import METRICS
 from .resolver import (Overwrite, Registry, ResolveError, apply_overwrites,
-                       instantiate_graph, parse_overwrites, substitute_placeholders)
+                       instantiate_graph, parse_overwrites, read_path,
+                       substitute_placeholders)
 from .training import apply_weights, load_checkpoint
 
 
@@ -123,12 +124,12 @@ def _parse_space(space_root: ConfigNode) -> list[tuple[str, str, list[ConfigNode
     """Space file: mapping of slot name -> {path: ..., values: [...]}."""
     slots = []
     for slot, node in space_root.children:
-        if node.kind != "mapping" or node.get("path") is None or node.get("values") is None:
-            raise ResolveError(f"search slot '{slot}' needs 'path' and 'values'")
+        path = read_path(node, f"search slot '{slot}'")
         values = node.get("values")
-        if values.kind != "sequence" or not values.children:
-            raise ResolveError(f"search slot '{slot}' needs a nonempty value sequence")
-        slots.append((slot, node.get("path").value, list(values.children)))
+        if values is None or values.kind != "sequence" or not values.children:
+            raise ResolveError(f"search slot '{slot}' needs a nonempty 'values' sequence",
+                               loc=node.loc)
+        slots.append((slot, path, list(values.children)))
     return slots
 
 

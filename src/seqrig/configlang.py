@@ -8,17 +8,20 @@ subset).  Supported constructs:
   a sequence may sit at the same indent as its parent key
 * flow mappings ``{key: value, ...}`` on a single line, ``{}`` when empty
 * ``[]`` for an empty sequence (the only flow-sequence form accepted)
+* plain or quoted keys, read alike in flow and block mappings; a quoted
+  key is exactly one quoted string before its ``:``
 * scalars: ints, floats, booleans (``true``/``True``/...), ``null``/``~``,
   plain and quoted strings; the atom type is inferred at parse time
 * ``# comment`` to end of line (outside quotes)
 * ``!ComponentTag`` on any value; ``&anchor`` / ``*alias`` textual reuse
 * several top-level experiment keys per file; ``---`` separates concatenated
-  documents, which are merged into a single root mapping
+  documents, which are merged into a single root mapping; a document that
+  is just ``{}`` is empty
 
 Rejected on purpose: tabs in indentation, duplicate keys, multi-line
 strings, merge keys, non-empty flow sequences.  ``serialize_config`` emits
-canonical 2-space indentation and its output reparses to a tree that is
-``deep_equal`` to the input.
+canonical 2-space indentation (``{}`` for an empty root) and its output
+reparses to a tree that is ``deep_equal`` to the input.
 """
 
 from __future__ import annotations
@@ -155,8 +158,8 @@ def iter_nodes(root: ConfigNode) -> Iterator[ConfigNode]:
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _FLOAT_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
-_TAG_RE = re.compile(r"^!([A-Za-z_][A-Za-z0-9_]*)(?=\s|$)")
-_ANCHOR_RE = re.compile(r"^&([A-Za-z_][A-Za-z0-9_-]*)(?=\s|$)")
+# ``!Tag`` or ``&anchor`` before a value, with the spaces after it
+_PREFIX_RE = re.compile(r"(?:!([A-Za-z_][A-Za-z0-9_]*)|&([A-Za-z_][A-Za-z0-9_-]*))(?=\s|$) *")
 _ALIAS_RE = re.compile(r"^\*([A-Za-z_][A-Za-z0-9_-]*)$")
 
 
@@ -259,24 +262,42 @@ def _find_quoted_end(text: str, start: int, loc: Loc) -> int:
     raise ParseError("unterminated quoted string", loc)
 
 
-def _split_key(text: str, line: _Line) -> Optional[tuple[str, int, int]]:
-    """Split ``key: rest`` -> (key, value_offset, colon_offset); None if no key.
+_KEY_COLON_RE = re.compile(r"\s*:(?= |$)")
 
-    The colon must sit outside quotes and be followed by a space or line end.
+
+def _read_key(text: str, i: int, loc: Loc) -> Optional[tuple[str, int]]:
+    """Read ``key:`` at ``text[i:]`` -> (key, index past the colon); None if no key.
+
+    The colon must be followed by a space or the line end.  A key that
+    begins with a quote is exactly one quoted string before its colon; a
+    plain key runs to the first such colon and may not be empty.
     """
-    i = 0
-    if text and text[0] in "\"'":
-        i = _find_quoted_end(text, 0, (line.number, line.indent + 1))
-    while i < len(text):
-        ch = text[i]
-        if ch == ":" and (i + 1 == len(text) or text[i + 1] == " "):
-            key = text[:i].strip()
-            j = i + 1
-            while j < len(text) and text[j] == " ":
-                j += 1
-            return key, j, i
+    if text.startswith(('"', "'"), i):
+        end = _find_quoted_end(text, i, loc)
+        m = _KEY_COLON_RE.match(text, end)
+        return (_unquote(text[i:end], loc), m.end()) if m else None
+    m = _KEY_COLON_RE.search(text, i)
+    if m is None:
+        return None
+    key = text[i:m.start()].strip()
+    if not key:
+        raise ParseError("empty mapping key", loc)
+    return key, m.end()
+
+
+def _skip_spaces(text: str, i: int) -> int:
+    while i < len(text) and text[i] == " ":
         i += 1
-    return None
+    return i
+
+
+def _is_dash(text: str) -> bool:
+    return text == "-" or text.startswith("- ")
+
+
+def _loc(line: _Line, i: int) -> Loc:
+    """Location of ``line.text[i]``."""
+    return (line.number, line.indent + 1 + i)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +306,11 @@ def _split_key(text: str, line: _Line) -> Optional[tuple[str, int, int]]:
 
 
 class _Parser:
+    """Recursive descent over lexed lines.
+
+    Positions inside a line are indices into ``line.text`` (see ``_loc``).
+    """
+
     def __init__(self, lines: list[_Line]):
         self.lines = lines
         self.pos = 0
@@ -297,149 +323,103 @@ class _Parser:
         self.pos += 1
         return line
 
-    # -- prefixes (tags / anchors) ----------------------------------------
+    def _parse_entry(self, node: ConfigNode, line: _Line, i: int, stops: str,
+                     indent: int) -> int:
+        """Add the ``key: value`` entry at ``line.text[i:]`` to ``node``; returns
+        the index past the value."""
+        key_loc = _loc(line, i)
+        split = _read_key(line.text, i, key_loc)
+        if split is None:
+            raise ParseError("expected 'key: value'", key_loc)
+        key, i = split
+        if key in node.key_locs:
+            raise ParseError(f"duplicate key '{key}'", key_loc)
+        child, i = self._parse_value(line, i, stops, indent)
+        node.children.append((key, child))
+        node.key_locs[key] = key_loc
+        return i
 
-    def _take_prefixes(self, text: str, line: _Line, col: int):
+    def _parse_value(self, line: _Line, i: int, stops: str, indent: int,
+                     in_seq: bool = False) -> tuple[ConfigNode, int]:
+        """Read the value at ``line.text[i:]``; returns (node, index past it).
+
+        A flow value (``stops`` = ``",}"``) ends before the first stop
+        character.  A block value (``stops`` = ``""``) runs to the line end;
+        when nothing follows its key or dash, it is the more-indented block
+        on the next lines (or a same-indent sequence under a mapping key),
+        else null.  ``in_seq`` marks a sequence item, which may also be a
+        compact ``- key: value`` mapping.  ``indent`` is the indent of the
+        enclosing block.
+        """
+        text = line.text
+        i = _skip_spaces(text, i)
         tag = anchor = None
-        while True:
-            m = _TAG_RE.match(text)
-            if m:
+        while m := _PREFIX_RE.match(text, i):
+            if m[1]:
                 if tag is not None:
-                    raise ParseError("duplicate tag", (line.number, col))
-                tag = m.group(1)
+                    raise ParseError("duplicate tag", _loc(line, i))
+                tag = m[1]
             else:
-                m = _ANCHOR_RE.match(text)
-                if m:
-                    if anchor is not None:
-                        raise ParseError("duplicate anchor", (line.number, col))
-                    anchor = m.group(1)
-            if not m:
-                return tag, anchor, text, col
-            consumed = m.end()
-            text = text[consumed:]
-            col += consumed
-            stripped = text.lstrip(" ")
-            col += len(text) - len(stripped)
-            text = stripped
+                if anchor is not None:
+                    raise ParseError("duplicate anchor", _loc(line, i))
+                anchor = m[2]
+            i = m.end()
+        loc = _loc(line, i)
+        if text.startswith("{", i):
+            node, i = self._parse_flow_mapping(line, i)
+        elif text.startswith(('"', "'"), i):
+            end = _find_quoted_end(text, i, loc)
+            node = ConfigNode.scalar(_unquote(text[i:end], loc), loc=loc)
+            i = end
+        elif in_seq and _read_key(text, i, loc) is not None:
+            node = self._parse_mapping(line.indent + i, first=(line, i))
+            i = len(text)
+        else:
+            j = i
+            while j < len(text) and text[j] not in stops:
+                j += 1
+            if stops and j == len(text):
+                raise ParseError("unterminated flow mapping", loc)
+            raw, i = text[i:j].strip(), j
+            m = _ALIAS_RE.match(raw)
+            if m:
+                if tag or anchor:
+                    raise ParseError("alias cannot carry a tag or anchor", loc)
+                return ConfigNode(ALIAS, loc=loc, value=m[1]), i
+            if raw == "[]":
+                node = ConfigNode.sequence(loc=loc)
+            elif raw:
+                node = ConfigNode.scalar(infer_atom(raw), loc=loc)
+            elif stops and tag is None and anchor is None:
+                raise ParseError("empty value in flow mapping", loc)
+            elif not stops and (nxt := self.peek()) is not None and (
+                    nxt.indent > indent
+                    or (not in_seq and nxt.indent == indent and _is_dash(nxt.text))):
+                node = self._parse_block(nxt.indent)
+            else:
+                node = ConfigNode.scalar(None, loc=loc)
+        if not stops and text[i:].strip():
+            raise ParseError("trailing content after value", _loc(line, i))
+        node.tag = tag
+        node.anchor = anchor
+        return node, i
 
-    # -- inline values -----------------------------------------------------
-
-    def _parse_flow_mapping(self, text: str, line: _Line, col: int) -> tuple[ConfigNode, int]:
-        """Parse ``{...}`` starting at text[0] == '{'; returns (node, n_consumed)."""
-        node = ConfigNode.mapping(loc=(line.number, col))
-        i = 1
-        seen: set[str] = set()
+    def _parse_flow_mapping(self, line: _Line, i: int) -> tuple[ConfigNode, int]:
+        """``{...}`` starting at ``line.text[i] == '{'``; returns (node, index past '}')."""
+        text = line.text
+        node = ConfigNode.mapping(loc=_loc(line, i))
+        i += 1
         while True:
-            while i < len(text) and text[i] == " ":
-                i += 1
+            i = _skip_spaces(text, i)
             if i >= len(text):
-                raise ParseError("unterminated flow mapping", (line.number, col))
+                raise ParseError("unterminated flow mapping", node.loc)
             if text[i] == "}":
                 return node, i + 1
             if node.children:
                 if text[i] != ",":
-                    raise ParseError("expected ',' or '}' in flow mapping", (line.number, col + i))
-                i += 1
-                while i < len(text) and text[i] == " ":
-                    i += 1
-            split = _split_key(text[i:], line)
-            if split is None:
-                raise ParseError("expected 'key: value' in flow mapping", (line.number, col + i))
-            key, off, _ = split
-            if not key:
-                raise ParseError("empty key in flow mapping", (line.number, col + i))
-            if key in seen:
-                raise ParseError(f"duplicate key '{key}'", (line.number, col + i))
-            seen.add(key)
-            key_loc = (line.number, col + i)
-            i += off
-            child, used = self._parse_flow_value(text, line, col, i)
-            i = used
-            node.children.append((key, child))
-            node.key_locs[key] = key_loc
-
-    def _parse_flow_value(self, text: str, line: _Line, col: int, i: int) -> tuple[ConfigNode, int]:
-        tag, anchor, rest, vcol = self._take_prefixes(text[i:], line, col + i)
-        i = vcol - col
-        loc = (line.number, col + i)
-        if rest.startswith("{"):
-            child, used = self._parse_flow_mapping(text[i:], line, col + i)
-            child.tag = tag
-            child.anchor = anchor
-            return child, i + used
-        # plain or quoted scalar ending at ',' or '}'
-        if rest[:1] in "\"'":
-            end = _find_quoted_end(text, i, loc)
-            value = _unquote(text[i:end], loc)
-            node = ConfigNode.scalar(value, tag=tag, loc=loc)
-            node.anchor = anchor
-            return node, end
-        j = i
-        while j < len(text) and text[j] not in ",}":
-            j += 1
-        if j >= len(text):
-            raise ParseError("unterminated flow mapping", (line.number, col))
-        raw = text[i:j].strip()
-        if not raw and tag is None and anchor is None:
-            raise ParseError("empty value in flow mapping", loc)
-        node = self._atom_node(raw, tag, anchor, loc)
-        return node, j
-
-    def _atom_node(self, raw: str, tag, anchor, loc: Loc) -> ConfigNode:
-        m = _ALIAS_RE.match(raw)
-        if m:
-            if tag or anchor:
-                raise ParseError("alias cannot carry a tag or anchor", loc)
-            return ConfigNode(ALIAS, loc=loc, value=m.group(1))
-        if raw == "":
-            node = ConfigNode.scalar(None, tag=tag, loc=loc)
-        elif raw == "[]":
-            node = ConfigNode.sequence(tag=tag, loc=loc)
-        else:
-            node = ConfigNode.scalar(infer_atom(raw), tag=tag, loc=loc)
-        node.anchor = anchor
-        return node
-
-    def _parse_inline(self, rest: str, line: _Line, col: int, tag, anchor) -> ConfigNode:
-        """A non-empty value on the same line as its key/dash."""
-        loc = (line.number, col)
-        if rest.startswith("{"):
-            node, used = self._parse_flow_mapping(rest, line, col)
-            if rest[used:].strip():
-                raise ParseError("trailing content after flow mapping", (line.number, col + used))
-            node.tag = tag
-            node.anchor = anchor
-            return node
-        if rest[:1] in "\"'":
-            end = _find_quoted_end(rest, 0, loc)
-            if rest[end:].strip():
-                raise ParseError("trailing content after quoted string", (line.number, col + end))
-            node = ConfigNode.scalar(_unquote(rest[:end], loc), tag=tag, loc=loc)
-            node.anchor = anchor
-            return node
-        return self._atom_node(rest.strip(), tag, anchor, loc)
-
-    # -- block values -------------------------------------------------------
-
-    def _parse_block_value(self, parent_indent: int, line: _Line, col: int,
-                           tag, anchor, allow_same_indent_seq: bool) -> ConfigNode:
-        """Value introduced by ``key:`` or ``-`` with nothing after it."""
-        nxt = self.peek()
-        if nxt is not None:
-            if nxt.indent > parent_indent:
-                node = self._parse_block(nxt.indent)
-                node.tag = tag
-                node.anchor = anchor
-                return node
-            if (allow_same_indent_seq and nxt.indent == parent_indent
-                    and _is_dash(nxt.text)):
-                node = self._parse_sequence(nxt.indent)
-                node.tag = tag
-                node.anchor = anchor
-                return node
-        node = ConfigNode.scalar(None, tag=tag, loc=(line.number, col))
-        node.anchor = anchor
-        return node
+                    raise ParseError("expected ',' or '}' in flow mapping", _loc(line, i))
+                i = _skip_spaces(text, i + 1)
+            i = self._parse_entry(node, line, i, ",}", line.indent)
 
     def _parse_block(self, indent: int) -> ConfigNode:
         line = self.peek()
@@ -448,19 +428,19 @@ class _Parser:
             return self._parse_sequence(indent)
         return self._parse_mapping(indent)
 
-    def _parse_mapping(self, indent: int, first_inline: tuple[_Line, str, int] | None = None) -> ConfigNode:
+    def _parse_mapping(self, indent: int, first: tuple[_Line, int] | None = None) -> ConfigNode:
         """Block mapping whose keys sit at exactly ``indent``.
 
-        ``first_inline`` injects the remainder of a compact ``- key: ...``
-        sequence item as the first entry (at virtual column ``indent``).
+        ``first`` = (line, i) starts it with the rest of a compact
+        ``- key: ...`` sequence item, whose key sits at column ``indent``.
         """
-        start = first_inline[0] if first_inline else self.peek()
+        start = first[0] if first else self.peek()
         assert start is not None
         node = ConfigNode.mapping(loc=(start.number, indent + 1))
         while True:
-            if first_inline is not None:
-                line, text, col = first_inline
-                first_inline = None
+            if first is not None:
+                line, i = first
+                first = None
             else:
                 nxt = self.peek()
                 if nxt is None or nxt.indent < indent:
@@ -469,29 +449,8 @@ class _Parser:
                     raise ParseError("inconsistent indentation", (nxt.number, nxt.indent + 1))
                 if _is_dash(nxt.text):
                     break
-                line = self.next()
-                text, col = line.text, line.indent
-            split = _split_key(text, line)
-            if split is None:
-                raise ParseError("expected 'key: value'", (line.number, col + 1))
-            key, off, _colon = split
-            if not key:
-                raise ParseError("empty mapping key", (line.number, col + 1))
-            if key[0] in "\"'":
-                key = _unquote(key, (line.number, col + 1))
-            if node.get(key) is not None:
-                raise ParseError(f"duplicate key '{key}'", (line.number, col + 1))
-            key_loc = (line.number, col + 1)
-            rest = text[off:]
-            vcol = col + off
-            tag, anchor, rest, vcol = self._take_prefixes(rest, line, vcol)
-            if rest:
-                child = self._parse_inline(rest, line, vcol + 1, tag, anchor)
-            else:
-                child = self._parse_block_value(indent, line, vcol + 1, tag, anchor,
-                                                allow_same_indent_seq=True)
-            node.children.append((key, child))
-            node.key_locs[key] = key_loc
+                line, i = self.next(), 0
+            self._parse_entry(node, line, i, "", indent)
         return node
 
     def _parse_sequence(self, indent: int) -> ConfigNode:
@@ -505,27 +464,9 @@ class _Parser:
             if nxt.indent > indent:
                 raise ParseError("inconsistent indentation", (nxt.number, nxt.indent + 1))
             line = self.next()
-            rest = line.text[1:]
-            pad = len(rest) - len(rest.lstrip(" "))
-            rest = rest.lstrip(" ")
-            col = line.indent + 1 + pad  # 0-based col of content after '- '
-            tag, anchor, rest, col = self._take_prefixes(rest, line, col)
-            if not rest:
-                child = self._parse_block_value(line.indent, line, col + 1, tag, anchor,
-                                                allow_same_indent_seq=False)
-            elif _split_key(rest, line) is not None and rest[0] not in "\"'{":
-                # compact "- key: value" item: a mapping at the content column
-                child = self._parse_mapping(col, first_inline=(line, rest, col))
-                child.tag = tag
-                child.anchor = anchor
-            else:
-                child = self._parse_inline(rest, line, col + 1, tag, anchor)
+            child, _ = self._parse_value(line, 1, "", line.indent, in_seq=True)
             node.children.append(child)
         return node
-
-
-def _is_dash(text: str) -> bool:
-    return text == "-" or text.startswith("- ")
 
 
 def parse_config(text: str) -> ConfigNode:
@@ -551,6 +492,8 @@ def parse_config(text: str) -> ConfigNode:
         if chunk[0].indent != 0:
             raise ParseError("top-level content must start at column 1",
                              (chunk[0].number, chunk[0].indent + 1))
+        if len(chunk) == 1 and chunk[0].text == "{}":
+            continue  # the empty document, as serialize_config writes it
         parser = _Parser(chunk)
         if _is_dash(chunk[0].text):
             raise ParseError("top level must be a mapping", (chunk[0].number, 1))
@@ -617,11 +560,17 @@ def _needs_quotes(text: str, in_flow: bool) -> bool:
         return True
     if text[0] in _PLAIN_SAFE_FIRST or text == "-" or text.startswith("- "):
         return True
-    if ": " in text or text.endswith(":") or " #" in text:
+    # a quote anywhere in a plain string would open a quoted span for
+    # _strip_comment and hide a later comment marker from it
+    if ": " in text or text.endswith(":") or " #" in text or '"' in text or "'" in text:
         return True
     if in_flow and any(ch in text for ch in ",{}"):
         return True
     return False
+
+
+def _quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _emit_atom(value: Any, in_flow: bool) -> str:
@@ -631,19 +580,12 @@ def _emit_atom(value: Any, in_flow: bool) -> str:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):
-        return repr(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, float)):
         return repr(value)
     text = str(value)
     if "\n" in text:
         raise ValueError("multi-line strings cannot be serialized")
-    if not _needs_quotes(text, in_flow):
-        return text
-    if '"' in text or "\\" in text:
-        body = text.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{body}"'
-    return f'"{text}"'
+    return _quote(text) if _needs_quotes(text, in_flow) else text
 
 
 def _tag_prefix(node: ConfigNode) -> str:
@@ -661,11 +603,9 @@ def _flow_eligible(node: ConfigNode) -> bool:
 
 
 def _emit_key(key: str) -> str:
-    if (key == "" or key != key.strip() or ":" in key or "#" in key
-            or key[0] in _PLAIN_SAFE_FIRST or key.startswith("- ") or key == "-"):
-        if '"' in key or "\\" in key:
-            return f'"{key.replace(chr(92), chr(92) * 2).replace(chr(34), chr(92) + chr(34))}"'
-        return f'"{key}"'
+    if (key == "" or key != key.strip() or ":" in key or "#" in key or '"' in key
+            or "'" in key or key[0] in _PLAIN_SAFE_FIRST or key.startswith("- ") or key == "-"):
+        return _quote(key)
     return key
 
 

@@ -150,10 +150,12 @@ def _is_ref(node: ConfigNode) -> bool:
     return node.kind == MAPPING and node.tag == "Ref"
 
 
-def _ref_target(node: ConfigNode) -> str:
-    path_node = node.get("path")
+def read_path(node: ConfigNode, owner: str) -> str:
+    """The string ``path:`` argument of a ``!Ref``, overwrite or search slot."""
+    path_node = node.get("path") if node.kind == MAPPING else None
     if path_node is None or path_node.kind != SCALAR or not isinstance(path_node.value, str):
-        raise ResolveError("!Ref requires a string 'path' argument", loc=node.loc)
+        raise ResolveError(f"{owner} requires a string 'path' argument",
+                           loc=(path_node or node).loc)
     return path_node.value
 
 
@@ -198,7 +200,7 @@ def resolve_references(root: ConfigNode) -> ReferencePlan:
         chain.append(path)
         node = paths[path]
         if _is_ref(node):
-            target = _ref_target(node)
+            target = read_path(node, "!Ref")
             if target not in paths:
                 raise ResolveError(f"reference to unknown path '{target}'",
                                    path=path, loc=node.loc)
@@ -301,7 +303,7 @@ def instantiate_graph(root: ConfigNode, registry: Registry, exp_name: str,
             continue
         node = node_at_path(tree, path)
         if _is_ref(node):
-            built[path] = built[_ref_target(node)]
+            built[path] = built[read_path(node, "!Ref")]
             graph.nodes[path] = built[path]
         elif node.kind == MAPPING and node.tag is not None:
             built[path] = _build_component(node, path, built, exp_global, runtime,
@@ -426,7 +428,8 @@ def parse_overwrites(node: ConfigNode) -> list[Overwrite]:
         raise ResolveError("overwrite block must be a sequence", loc=node.loc)
     out = []
     for item in node.children:
-        if item.kind != MAPPING or item.get("path") is None or item.get("val") is None:
+        path = read_path(item, "an overwrite")
+        if item.get("val") is None:
             raise ResolveError("each overwrite needs 'path' and 'val'", loc=item.loc)
-        out.append(Overwrite(path=item.get("path").value, val=item.get("val")))
+        out.append(Overwrite(path=path, val=item.get("val")))
     return out

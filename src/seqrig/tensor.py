@@ -218,14 +218,6 @@ def add(a: Expr, b: Expr) -> Expr:
     return Expr(a.value + b.value, (a, b), "add", bwd)
 
 
-def sub(a: Expr, b: Expr) -> Expr:
-    def bwd(node: Expr) -> None:
-        a._accum(_unbroadcast(node.grad, a.value.shape))
-        b._accum(-_unbroadcast(node.grad, b.value.shape))
-
-    return Expr(a.value - b.value, (a, b), "sub", bwd)
-
-
 def mul(a: Expr, b: Expr) -> Expr:
     def bwd(node: Expr) -> None:
         a._accum(_unbroadcast(node.grad * b.value, a.value.shape))
@@ -292,11 +284,6 @@ def matmul(a: Expr, b: Expr) -> Expr:
         b._accum(a.value.T @ node.grad)
 
     return Expr(a.value @ b.value, (a, b), "matmul", bwd)
-
-
-def affine(x: Expr, w: Expr, b: Expr) -> Expr:
-    """``x @ w + b`` with the bias broadcast over rows."""
-    return add(matmul(x, w), b)
 
 
 def transpose(a: Expr) -> Expr:
@@ -453,16 +440,6 @@ def _mask_mul(a: Expr, mask: np.ndarray, op: str) -> Expr:
         a._accum(node.grad * mask)
 
     return Expr(a.value * mask, (a,), op, bwd)
-
-
-def dropout(a: Expr, rate: float, rng: np.random.Generator, train: bool = True) -> Expr:
-    """Standard iid dropout with 1/(1-rate) keep-scaling; identity at inference."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate {rate} outside [0, 1)")
-    if not train or rate == 0.0:
-        return a
-    keep = (rng.random(a.value.shape) >= rate).astype(np.float64) / (1.0 - rate)
-    return _mask_mul(a, keep, "dropout")
 
 
 def variational_dropout(a: Expr, rate: float, rng: np.random.Generator,

@@ -15,6 +15,7 @@ significant digits, which round-trips float64 exactly).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -408,15 +409,27 @@ def apply_weights(params, weights: dict[str, np.ndarray]) -> None:
 
 
 def save_checkpoint(exp, model_file: str) -> Path:
-    """Write ``spec.yaml`` + ``weights.txt`` under the model directory."""
+    """Write ``spec.yaml`` + ``weights.txt`` under the model directory.
+
+    Both files are written under temporary names and renamed over the
+    targets only once both are complete, so a save that fails part-way
+    leaves the previous checkpoint as it was.
+    """
     from .configlang import ConfigNode, serialize_config
     from .resolver import dump_spec
 
     out = Path(model_file)
     out.mkdir(parents=True, exist_ok=True)
     doc = ConfigNode.mapping([(exp.name, dump_spec(exp))])
-    (out / "spec.yaml").write_text(serialize_config(doc), encoding="utf-8")
-    save_weights(exp.runtime.params, out / "weights.txt")
+    spec_tmp, weights_tmp = out / "spec.yaml.tmp", out / "weights.txt.tmp"
+    try:
+        spec_tmp.write_text(serialize_config(doc), encoding="utf-8")
+        save_weights(exp.runtime.params, weights_tmp)
+        os.replace(weights_tmp, out / "weights.txt")
+        os.replace(spec_tmp, out / "spec.yaml")
+    finally:
+        spec_tmp.unlink(missing_ok=True)
+        weights_tmp.unlink(missing_ok=True)
     return out
 
 

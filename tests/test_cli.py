@@ -220,6 +220,15 @@ class TestRandomSearch:
         with pytest.raises(ResolveError, match="no.such.path"):
             random_search(cfg, space, trials=1)
 
+    def test_non_string_slot_path_exits_with_error(self, tmp_path, capsys):
+        cfg = tmp_path / "base.yaml"
+        cfg.write_text("base: !Experiment\n  exp_global: !ExpGlobal {}\n")
+        space = tmp_path / "space.yaml"
+        space.write_text("x:\n  path: 5\n  values:\n    - 1\n")
+        rc = main(["search", str(cfg), "--space", str(space), "--trials", "1"])
+        assert rc == 1
+        assert "error: search slot 'x' requires a string 'path'" in capsys.readouterr().err
+
 
 class TestGendata:
     def test_writes_all_splits(self, tmp_path):

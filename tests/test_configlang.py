@@ -107,6 +107,26 @@ class TestParse:
         with pytest.raises(ParseError, match="unterminated"):
             parse_config("a: {x: 1\n")
 
+    def test_flow_key_without_value_rejected(self):
+        with pytest.raises(ParseError, match="unterminated flow mapping"):
+            parse_config("a: {b:")
+
+    def test_quoted_flow_key_is_unquoted(self):
+        root = parse_config('a: {"b c": 1, \'d\': 2}\n')
+        assert root.get("a").keys() == ["b c", "d"]
+        assert deep_equal(root, parse_config('a:\n  "b c": 1\n  \'d\': 2\n'))
+
+    def test_quoted_key_must_be_one_quoted_string(self):
+        for text, loc in (('"a"b: 1\n', (1, 1)), ('x: {"a" b: 1}\n', (1, 5))):
+            with pytest.raises(ParseError, match="expected 'key: value'") as err:
+                parse_config(text)
+            assert err.value.loc == loc
+
+    def test_empty_document_is_empty_root(self):
+        root = parse_config("{}\n")
+        assert root.kind == MAPPING and root.children == []
+        assert parse_config("a: 1\n---\n{}\n").keys() == ["a"]
+
     def test_error_carries_location(self):
         with pytest.raises(ParseError) as err:
             parse_config("a: 1\na: 2\n")

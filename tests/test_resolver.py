@@ -290,6 +290,12 @@ class TestOverwrites:
         assert out.get("exp_global").get("eval_only").value is True
         assert out.get("evaluate").tag == "AccuracyEvalTask"
 
+    def test_non_string_path_rejected_with_location(self):
+        ow_node = parse_config("o:\n  - path: 5\n    val: 1\n").get("o")
+        with pytest.raises(ResolveError, match="string 'path'") as err:
+            parse_overwrites(ow_node)
+        assert err.value.loc == (2, 11)
+
     def test_empty_overwrite_list_is_identity(self):
         base = parse_config("a: 1\nb:\n  c: 2\n")
         assert deep_equal(apply_overwrites(base, []), base)

@@ -153,11 +153,12 @@ class TestBackward:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = const(np.ones((4, 3)))
-        assert T.dropout(x, 0.0, np.random.default_rng(0)) is x
+        assert T.variational_dropout(x, 0.0, np.random.default_rng(0), {}, "k") is x
 
     def test_inference_identity_any_rate(self):
         x = const(np.ones((4, 3)))
-        assert T.dropout(x, 0.9, np.random.default_rng(0), train=False) is x
+        assert T.variational_dropout(x, 0.9, np.random.default_rng(0), {}, "k",
+                                     train=False) is x
         assert T.word_dropout(x, 1.0, np.random.default_rng(0), train=False) is x
 
     def test_variational_mask_reused_across_steps(self):
@@ -187,16 +188,16 @@ class TestDropout:
         assert set(np.unique(rows)) <= {0.0, 1.0}
         assert all(len(np.unique(row)) == 1 for row in rows)  # whole vectors
 
-    def test_standard_dropout_rescales(self):
+    def test_variational_dropout_rescales(self):
         rng = np.random.default_rng(7)
-        out = T.dropout(const(np.ones((100, 100))), 0.25, rng)
+        out = T.variational_dropout(const(np.ones((100, 100))), 0.25, rng, {}, "k")
         kept = out.value[out.value != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.75)
 
     def test_scaled_rates_must_be_below_one(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            T.dropout(const(np.ones(3)), 1.0, rng)
+            T.variational_dropout(const(np.ones(3)), 1.0, rng, {}, "k")
         with pytest.raises(ValueError):
             T.variational_dropout(const(np.ones(3)), -0.1, rng, {}, "k")
         with pytest.raises(ValueError):
@@ -231,7 +232,7 @@ def _random_op_loss(rng: np.random.Generator, params: list):
     unary = [T.tanh, T.sigmoid, lambda x: T.exp(T.scale(x, 0.1)),
              lambda x: T.log(T.add(T.mul(x, x), const(np.ones(x.shape) * 0.5))),
              lambda x: T.scale(x, -1.7), T.softmax, T.log_softmax]
-    binary = [T.add, T.mul, T.sub]
+    binary = [T.add, T.mul, lambda x, y: T.add(x, T.scale(y, -1.0))]
     for _ in range(int(rng.integers(2, 6))):
         if rng.random() < 0.5 and len(exprs) >= 2:
             i, j = rng.integers(0, len(exprs), size=2)
@@ -264,8 +265,8 @@ class TestFiniteDifferences:
             builders = [
                 lambda: T.esum(T.mul(a.expr(), b.expr())),
                 lambda: T.esum(T.add(a.expr(), b.expr())),
-                lambda: T.esum(T.sub(a.expr(), b.expr())),
-                lambda: T.esum(T.tanh(T.affine(a.expr(), w.expr(), bias.expr()))),
+                lambda: T.esum(T.add(a.expr(), T.scale(b.expr(), -1.0))),
+                lambda: T.esum(T.tanh(T.add(T.matmul(a.expr(), w.expr()), bias.expr()))),
                 lambda: T.esum(T.sigmoid(T.matmul(a.expr(), w.expr()))),
                 lambda: T.esum(T.exp(T.scale(a.expr(), 0.3))),
                 lambda: T.esum(T.log(T.add(T.mul(a.expr(), a.expr()),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from seqrig import tensor as T
+from seqrig import training
 from seqrig.components import default_registry
 from seqrig.configlang import parse_config
 from seqrig.data import ES, Batch, SrcBatcher
@@ -16,7 +17,7 @@ from seqrig.tensor import Parameter, backward, clip_global_norm
 from seqrig.training import (DevRecord, TrainContext, TrainingError, apply_weights,
                              bleu_reward, load_checkpoint, load_weights,
                              reinforce_loss, reinforce_surrogate,
-                             run_dev_tasks_and_decay, save_weights)
+                             run_dev_tasks_and_decay, save_checkpoint, save_weights)
 
 from helpers import tiny_translator
 
@@ -386,6 +387,31 @@ class TestSimpleRegimen:
         apply_weights(fresh.runtime.params, weights)
         got = fresh.train.dev_tasks[0].run(fresh.model, fresh.runtime)[0][1]
         assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_interrupted_save_keeps_previous_checkpoint(self, copy_data, tmp_path,
+                                                       monkeypatch):
+        exp = instantiate(copy_config(copy_data, tmp_path, dev=False), "copytrain")
+        model_dir = tmp_path / "copytrain.mod"
+        save_checkpoint(exp, model_dir)
+        before = {f.name: f.read_bytes() for f in model_dir.iterdir()}
+        saved = {p.name: p.value.copy() for p in exp.runtime.params}
+        for p in exp.runtime.params:
+            p.value += 1.0
+
+        def interrupted(params, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("param model.src_embedder.table 2 16 16\n0.5")
+                raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(training, "save_weights", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            save_checkpoint(exp, model_dir)
+        assert {f.name: f.read_bytes() for f in model_dir.iterdir()} == before
+        spec, weights = load_checkpoint(model_dir)
+        fresh = instantiate_graph(spec.children[0][1], default_registry(), "copytrain")
+        apply_weights(fresh.runtime.params, weights)
+        for name, value in saved.items():
+            np.testing.assert_array_equal(fresh.runtime.params.get(name).value, value)
 
     def test_eval_only_skips_training(self, copy_data, tmp_path):
         text = copy_config(copy_data, tmp_path, epochs=3)
