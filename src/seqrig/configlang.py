@@ -388,6 +388,8 @@ class _Parser:
                 return ConfigNode(ALIAS, loc=loc, value=m[1]), i
             if raw == "[]":
                 node = ConfigNode.sequence(loc=loc)
+            elif raw.startswith("["):
+                raise ParseError("non-empty flow sequences are not supported", loc)
             elif raw:
                 node = ConfigNode.scalar(infer_atom(raw), loc=loc)
             elif stops and tag is None and anchor is None:

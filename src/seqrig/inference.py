@@ -8,6 +8,13 @@ pool).  Length normalization (raw logprob divided by length^alpha, length
 counting generated tokens excluding the end token) applies only to the
 final ranking, never to pruning.  Ties break toward the lower token id and,
 at equal score, toward the earlier-finished hypothesis.
+
+The live beam is stepped as the rows of one ``model.next_logprobs`` call,
+which takes n previous ids and an n-row state and returns an (n, V)
+log-prob matrix; ``model.select_rows`` keeps the state rows that survive
+pruning.  Greedy search is the beam of size 1.  Candidates are ranked by
+score, then token id, then beam slot, so batching changes no tie-break.
+Sampling steps one row at a time.
 """
 
 from __future__ import annotations
@@ -65,13 +72,6 @@ def default_max_len(src_len: int) -> int:
     return 2 * src_len + 5
 
 
-@dataclass
-class _Partial:
-    ids: list[int]
-    logprob: float
-    state: object
-
-
 def _rank(pool: list[Hypothesis], alpha: float) -> list[Hypothesis]:
     for hyp in pool:
         length = max(1, len(hyp.surface_ids()))
@@ -81,40 +81,48 @@ def _rank(pool: list[Hypothesis], alpha: float) -> list[Hypothesis]:
 
 
 def _beam_search(model, ctx, max_len: int, k: int) -> list[Hypothesis]:
-    active = [_Partial(ids=[], logprob=0.0, state=ctx.initial)]
+    # the live beam: row r of ``state`` carries ids[r], whose raw score is
+    # scores[r]; ``rows`` picks the rows of the last step's state it keeps
+    ids: list[list[int]] = [[]]
+    scores = np.zeros(1)
+    state, rows = ctx.initial, [0]
     pool: list[Hypothesis] = []
     hit_cap = True
     for _ in range(max_len):
-        candidates = []
-        for slot, part in enumerate(active):
-            prev = part.ids[-1] if part.ids else SS
-            state, logprobs = model.next_logprobs(ctx, part.state, prev)
-            for token in range(len(logprobs)):
-                candidates.append((part.logprob + float(logprobs[token]), token, slot, state))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        next_active = []
-        for score, token, slot, state in candidates[:k]:
-            part = active[slot]
+        state = model.select_rows(state, rows)
+        prev = [seq[-1] if seq else SS for seq in ids]
+        state, logprobs = model.next_logprobs(ctx, state, prev)
+        n = len(ids)
+        total = scores[:, None] + logprobs
+        # flat index token * n + slot: a stable sort of the negated scores
+        # breaks ties toward the lower token id, then the earlier slot
+        order = np.argsort(-total.T.ravel(), kind="stable")[:k]
+        next_ids, next_scores, rows = [], [], []
+        for flat in order.tolist():
+            token, slot = divmod(flat, n)
+            score = float(total[slot, token])
             if token == ES:
-                pool.append(Hypothesis(ids=part.ids + [ES], logprob=score, finished=True))
+                pool.append(Hypothesis(ids=ids[slot] + [ES], logprob=score, finished=True))
             else:
-                next_active.append(_Partial(ids=part.ids + [token], logprob=score, state=state))
-        active = next_active
+                next_ids.append(ids[slot] + [token])
+                next_scores.append(score)
+                rows.append(slot)
+        ids, scores = next_ids, np.asarray(next_scores)
         # the pool-size stop alone could end the search while an active
         # partial still outscores every finished hypothesis; since raw
         # scores only decrease along a path, waiting until the incumbent
         # is unbeatable keeps larger beams from losing it
-        unbeatable = (pool and active
-                      and max(p.logprob for p in pool) >= max(p.logprob for p in active))
-        if not active or (len(pool) >= k and unbeatable):
+        unbeatable = (pool and ids
+                      and max(h.logprob for h in pool) >= max(next_scores))
+        if not ids or (len(pool) >= k and unbeatable):
             hit_cap = False
             break
     if hit_cap:
         # only the length cap truncates; partials alive when the pool fills
         # are discarded (their scores are not comparable to finished ones)
-        for part in active:
-            if part.ids:
-                pool.append(Hypothesis(ids=part.ids, logprob=part.logprob, finished=False))
+        for seq, score in zip(ids, scores.tolist()):
+            if seq:
+                pool.append(Hypothesis(ids=seq, logprob=score, finished=False))
     return pool
 
 
@@ -128,7 +136,8 @@ def _sample_search(model, ctx, max_len: int, n: int, temperature: float,
         finished = False
         for _ in range(max_len):
             prev = ids[-1] if ids else SS
-            state, logprobs = model.next_logprobs(ctx, state, prev)
+            state, logprobs = model.next_logprobs(ctx, state, [prev])
+            logprobs = logprobs[0]
             scaled = logprobs / temperature
             probs = np.exp(scaled - scaled.max())
             probs /= probs.sum()

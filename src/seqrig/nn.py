@@ -528,10 +528,27 @@ class DefaultTranslator:
         return DecodeContext(att=att, initial=self.decoder.initial_state(enc))
 
     def next_logprobs(self, ctx: DecodeContext, state: DecoderState,
-                      prev_id: int) -> tuple[DecoderState, np.ndarray]:
-        emb = self.trg_embedder.embed_step(np.asarray([prev_id], dtype=np.int64), False)
+                      prev_ids) -> tuple[DecoderState, np.ndarray]:
+        """One decoder step for n hypotheses: n previous ids, an n-row state.
+
+        Returns the new n-row state and the (n, V) log-probabilities.  The
+        one-row attention state broadcasts against the n decoder rows.
+        """
+        emb = self.trg_embedder.embed_step(np.asarray(prev_ids, dtype=np.int64), False)
         state, logits = self.decoder.step(state, emb, self.attender, ctx.att, False)
-        return state, T.log_softmax(logits).value[0]
+        return state, T.log_softmax(logits).value
+
+    @staticmethod
+    def select_rows(state: DecoderState, rows: list[int]) -> DecoderState:
+        """The state of the hypotheses ``rows``, in that order (decoding only)."""
+        if rows == list(range(state.prev_context.value.shape[0])):
+            return state
+
+        def take(x: Expr) -> Expr:
+            return const(x.value[rows])
+
+        return replace(state, layers=[(take(h), take(c)) for h, c in state.layers],
+                       prev_context=take(state.prev_context))
 
     def src_length(self, src_item) -> int:
         return src_item.shape[0] if isinstance(src_item, np.ndarray) else len(src_item)

@@ -36,14 +36,30 @@ class AdamTrainer:
         self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params: Iterable[Parameter]) -> None:
+        """One bias-corrected step.  The moments are allocated once per
+        parameter and updated in place, computing exactly
+        ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2`` and
+        ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)`` in that operation order."""
         self.t += 1
         b1, b2 = self.beta_1, self.beta_2
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
         for p in params:
-            m, v = self._moments.get(p.name, (np.zeros_like(p.value), np.zeros_like(p.value)))
-            m = b1 * m + (1.0 - b1) * p.grad
-            v = b2 * v + (1.0 - b2) * p.grad ** 2
-            self._moments[p.name] = (m, v)
-            m_hat = m / (1.0 - b1 ** self.t)
-            v_hat = v / (1.0 - b2 ** self.t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            p.grad[...] = 0.0
+            if p.name not in self._moments:
+                self._moments[p.name] = (np.zeros_like(p.value), np.zeros_like(p.value))
+            m, v = self._moments[p.name]
+            g = p.grad
+            m *= b1
+            step = np.multiply(g, 1.0 - b1)
+            m += step
+            v *= b2
+            np.multiply(g, g, out=step)
+            step *= 1.0 - b2
+            v += step
+            np.divide(m, c1, out=step)
+            step *= self.lr
+            denom = np.divide(v, c2)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p.value -= step
+            g[...] = 0.0

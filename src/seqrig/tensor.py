@@ -353,9 +353,16 @@ def lookup(table: Expr, ids) -> Expr:
         raise IndexError(f"lookup index out of range for table with {v} rows")
 
     def bwd(node: Expr) -> None:
-        g = np.zeros_like(table.value)
-        np.add.at(g, ids, node.grad)
-        table._accum(g)
+        # scatter only the used rows; into a held gradient, add each row's
+        # sum of its ids' gradients, as adding a scattered zero table would
+        if table.grad is None:
+            table.grad = np.zeros_like(table.value)
+            np.add.at(table.grad, ids, node.grad)
+        else:
+            rows, inverse = np.unique(ids.reshape(-1), return_inverse=True)
+            sums = np.zeros((rows.size,) + table.value.shape[1:])
+            np.add.at(sums, inverse, node.grad.reshape((ids.size,) + table.value.shape[1:]))
+            table.grad[rows] += sums
 
     return Expr(table.value[ids].copy(), (table,), "lookup", bwd)
 

@@ -1,10 +1,12 @@
-"""Shared test utilities: gradient checking, tiny models, toy search models."""
+"""Shared test utilities: gradient checking, tiny models, toy search models,
+the per-hypothesis beam search oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from seqrig.data import PlainTextReader, Vocab
+from seqrig.data import ES, SS, PlainTextReader, Vocab
+from seqrig.inference import Hypothesis
 from seqrig.nn import (BiLSTMSeqTransducer, CopyBridge, DecodeContext,
                        DefaultTranslator, MlpAttender, MlpSoftmaxDecoder,
                        SimpleWordEmbedder)
@@ -96,8 +98,9 @@ class PrefixTableModel:
     """Toy decode model: a fixed log-prob table keyed by the emitted prefix.
 
     Implements the decode interface (start_decode / next_logprobs /
-    src_length).  The running state is the prefix tuple of emitted tokens
-    (None before the first step), so exhaustive enumeration is trivial.
+    select_rows / src_length).  The running state holds one prefix tuple of
+    emitted tokens per row (None before the first step), so exhaustive
+    enumeration is trivial.
     """
 
     def __init__(self, vocab_size: int, max_len: int, seed: int):
@@ -122,11 +125,53 @@ class PrefixTableModel:
         return len(src_item)
 
     def start_decode(self, src_item) -> DecodeContext:
-        return DecodeContext(att=None, initial=None)
+        return DecodeContext(att=None, initial=[None])
 
-    def next_logprobs(self, ctx, state, prev_id):
-        prefix = () if state is None else state + (prev_id,)
-        return prefix, self.table[prefix]
+    def next_logprobs(self, ctx, state, prev_ids):
+        prefixes = [() if s is None else s + (int(p),) for s, p in zip(state, prev_ids)]
+        return prefixes, np.stack([self.table[p] for p in prefixes])
+
+    @staticmethod
+    def select_rows(state, rows):
+        return [state[r] for r in rows]
+
+
+def reference_beam_search(model, ctx, max_len: int, k: int) -> list[Hypothesis]:
+    """The per-hypothesis beam search that the batched search replaced.
+
+    Each partial hypothesis steps on its own as a one-row decoder call, and
+    the candidates of a step are sorted as (score, token, slot) tuples.
+    Returns the unranked pool; kept as the oracle for the batched search.
+    """
+    active = [([], 0.0, ctx.initial)]
+    pool: list[Hypothesis] = []
+    hit_cap = True
+    for _ in range(max_len):
+        candidates = []
+        for slot, (ids, logprob, state) in enumerate(active):
+            prev = ids[-1] if ids else SS
+            state, logprobs = model.next_logprobs(ctx, state, [prev])
+            for token in range(logprobs.shape[1]):
+                candidates.append((logprob + float(logprobs[0, token]), token, slot, state))
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        next_active = []
+        for score, token, slot, state in candidates[:k]:
+            ids = active[slot][0]
+            if token == ES:
+                pool.append(Hypothesis(ids=ids + [ES], logprob=score, finished=True))
+            else:
+                next_active.append((ids + [token], score, state))
+        active = next_active
+        unbeatable = (pool and active
+                      and max(h.logprob for h in pool) >= max(a[1] for a in active))
+        if not active or (len(pool) >= k and unbeatable):
+            hit_cap = False
+            break
+    if hit_cap:
+        for ids, logprob, _ in active:
+            if ids:
+                pool.append(Hypothesis(ids=ids, logprob=logprob, finished=False))
+    return pool
 
 
 def enumerate_hypotheses(model: PrefixTableModel, max_len: int):

@@ -122,6 +122,14 @@ class TestParse:
                 parse_config(text)
             assert err.value.loc == loc
 
+    def test_non_empty_flow_sequence_rejected(self):
+        for text, loc in (("a: [1, 2]\n", (1, 4)), ("a: {b: [x]}\n", (1, 8)),
+                          ("a:\n  - [1]\n", (2, 5))):
+            with pytest.raises(ParseError, match="flow sequence") as err:
+                parse_config(text)
+            assert err.value.loc == loc
+        assert parse_config("a: []\n").get("a").children == []
+
     def test_empty_document_is_empty_root(self):
         root = parse_config("{}\n")
         assert root.kind == MAPPING and root.children == []

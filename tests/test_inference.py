@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from seqrig.inference import Hypothesis, SearchSpec, decode, normalize_score
+from seqrig.inference import (Hypothesis, SearchSpec, _rank, decode, default_max_len,
+                              normalize_score)
 
-from helpers import PrefixTableModel, enumerate_hypotheses, tiny_translator
+from helpers import (PrefixTableModel, enumerate_hypotheses, reference_beam_search,
+                     tiny_translator)
 
 
 class TestNormalizeScore:
@@ -135,6 +137,67 @@ class TestBeamSearch:
         model = PrefixTableModel(vocab_size=3, max_len=6, seed=3)
         hyps = decode(model, [3], SearchSpec(strategy="beam", beam_size=2, max_len=2))
         assert all(len(h.ids) <= 2 + 1 for h in hyps)
+
+
+def _oracle_decode(model, src, spec):
+    """The ranked output of the per-hypothesis search for ``spec``."""
+    ctx = model.start_decode(src)
+    max_len = spec.max_len if spec.max_len is not None else default_max_len(len(src))
+    k = 1 if spec.strategy == "greedy" else spec.beam_size
+    return _rank(reference_beam_search(model, ctx, max_len, k), spec.length_norm_exp)
+
+
+def _assert_same_hypotheses(found, expected):
+    assert [h.ids for h in found] == [h.ids for h in expected]
+    assert [h.finished for h in found] == [h.finished for h in expected]
+    for a, b in zip(found, expected):
+        assert abs(a.logprob - b.logprob) <= 1e-9
+        assert abs(a.normalized_score - b.normalized_score) <= 1e-9
+
+
+class TestBatchedBeamMatchesOracle:
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_real_models(self, k, alpha):
+        for seed in range(4):
+            model, _ = tiny_translator(seed=seed, dim=4, n_content=3, layers=1 + seed % 2)
+            for src in ([3], [3, 4], [5, 4, 3, 3]):
+                spec = SearchSpec(strategy="beam", beam_size=k, length_norm_exp=alpha)
+                _assert_same_hypotheses(decode(model, src, spec),
+                                        _oracle_decode(model, src, spec))
+
+    def test_greedy_on_a_real_model(self):
+        model, _ = tiny_translator(seed=5, dim=4, n_content=3, layers=2)
+        spec = SearchSpec(strategy="greedy")
+        _assert_same_hypotheses(decode(model, [3, 4, 5], spec),
+                                _oracle_decode(model, [3, 4, 5], spec))
+
+    def test_exact_ties_break_alike(self):
+        # every continuation has the same log-prob, so each step's ranking
+        # rests on the token and slot tie-breaks alone
+        model = PrefixTableModel(vocab_size=4, max_len=4, seed=0)
+        for prefix in model.table:
+            model.table[prefix] = np.full(4, -np.log(4.0))
+        for k in (1, 2, 3, 7):
+            spec = SearchSpec(strategy="beam", beam_size=k, max_len=4)
+            _assert_same_hypotheses(decode(model, model.src, spec),
+                                    _oracle_decode(model, model.src, spec))
+
+    def test_toy_models(self):
+        for seed in range(10):
+            model = PrefixTableModel(vocab_size=3, max_len=4, seed=seed)
+            for k in (1, 2, 5, 81):
+                spec = SearchSpec(strategy="beam", beam_size=k, max_len=4)
+                _assert_same_hypotheses(decode(model, model.src, spec),
+                                        _oracle_decode(model, model.src, spec))
+
+    def test_select_rows_is_a_no_op_for_rows_in_order(self):
+        model, _ = tiny_translator(seed=0, dim=4)
+        state = model.start_decode([3, 4]).initial
+        assert model.select_rows(state, [0]) is state
+        picked = model.select_rows(state, [0, 0, 0])
+        assert picked.prev_context.value.shape == (3, 4)
+        assert model.select_rows(picked, [0, 1, 2]) is picked
 
 
 class TestSampling:

@@ -301,7 +301,8 @@ class TestBridgeAndDecoder:
     def test_logits_cover_target_vocab(self):
         model, runtime = tiny_translator(seed=0, dim=4, n_content=5)
         ctx = model.start_decode([3, 4])
-        state, logprobs = model.next_logprobs(ctx, ctx.initial, 0)
+        state, logprobs = model.next_logprobs(ctx, ctx.initial, [0])
+        logprobs = logprobs[0]
         assert logprobs.shape == (8,)  # 3 reserved + 5 content
 
     def test_layer_count_mismatch_rejected(self):

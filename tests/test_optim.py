@@ -30,7 +30,57 @@ class TestSgd:
         np.testing.assert_array_equal(p.grad, [0.0])
 
 
+def reference_adam_step(p, moments, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The out-of-place Adam step the in-place trainer replaced (oracle)."""
+    m, v = moments.get(p.name, (np.zeros_like(p.value), np.zeros_like(p.value)))
+    m = b1 * m + (1.0 - b1) * p.grad
+    v = b2 * v + (1.0 - b2) * p.grad ** 2
+    moments[p.name] = (m, v)
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    p.grad[...] = 0.0
+
+
 class TestAdam:
+    def test_in_place_steps_bitwise_equal_reference(self):
+        rng = np.random.default_rng(0)
+        shapes = [(7, 5), (5,), (3, 4), (11,)]
+        values = [rng.normal(size=shape) for shape in shapes]
+        ours = [Parameter(f"p{i}", v.copy()) for i, v in enumerate(values)]
+        ref = [Parameter(f"p{i}", v) for i, v in enumerate(values)]
+        trainer, moments = AdamTrainer(lr=0.01), {}
+        for t in range(1, 7):
+            trainer.lr = 0.01 / t  # the decay policy rewrites lr between steps
+            for a, b in zip(ours, ref):
+                a.grad[...] = b.grad[...] = rng.normal(scale=10.0 ** rng.integers(-6, 3),
+                                                       size=a.shape)
+            trainer.step(ours)
+            for b in ref:
+                reference_adam_step(b, moments, t, trainer.lr)
+            for a, b in zip(ours, ref):
+                np.testing.assert_array_equal(a.value, b.value)
+                np.testing.assert_array_equal(a.grad, 0.0)
+                for x, y in zip(trainer._moments[a.name], moments[b.name]):
+                    np.testing.assert_array_equal(x, y)
+
+    def test_shared_parameter_moments_stay_per_trainer(self):
+        # a trainer that stepped a shared parameter before must not change
+        # what another trainer does with it
+        rng = np.random.default_rng(3)
+        shared, grads = Parameter("w", rng.normal(size=(4, 3))), rng.normal(size=(3, 4, 3))
+        busy, fresh, lone = AdamTrainer(lr=0.1), AdamTrainer(lr=0.1), AdamTrainer(lr=0.1)
+        for g in grads:
+            shared.grad[...] = g
+            busy.step([shared])
+        alone = Parameter("w", shared.value.copy())
+        shared.grad[...] = alone.grad[...] = grads[0]
+        fresh.step([shared])
+        lone.step([alone])
+        np.testing.assert_array_equal(shared.value, alone.value)
+        np.testing.assert_array_equal(fresh._moments["w"][0], lone._moments["w"][0])
+        assert not np.array_equal(busy._moments["w"][0], fresh._moments["w"][0])
+
     def test_zero_grad_leaves_unchanged(self):
         p = scalar_param(3.0, 0.0)
         AdamTrainer(lr=0.01).step([p])

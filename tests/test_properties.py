@@ -1,4 +1,5 @@
-"""Property tests of the config language over mutants of the reference configs.
+"""Property tests: the config language over mutants of the reference configs,
+and beam search against exhaustive enumeration on random toy models.
 
 Hypothesis runs derandomized with a fixed example budget, so every run
 draws the same examples.
@@ -7,10 +8,12 @@ draws the same examples.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqrig.configlang import (ParseError, deep_equal, parse_config, resolve_anchors,
-                               serialize_config)
+from seqrig.configlang import (SEQUENCE, ParseError, deep_equal, parse_config,
+                               resolve_anchors, serialize_config)
+from seqrig.inference import SearchSpec, decode
 
 from conftest import DECODE_CONFIG, STANDARD_CONFIG, TIED_CONFIG, fill
+from helpers import PrefixTableModel, enumerate_hypotheses
 
 BASES = [fill(t, "data", "out") for t in (STANDARD_CONFIG, TIED_CONFIG, DECODE_CONFIG)]
 # characters that carry syntax, plus a few that do not
@@ -79,6 +82,16 @@ def test_serialize_parse_is_a_fixed_point(text):
     assert serialize_config(again) == once
 
 
+@FIXED
+@given(st.text(alphabet="[]1, x", max_size=6).map(lambda s: "[" + s))
+@example("[1, 2]")
+def test_flow_sequence_is_empty_or_a_parse_error(value):
+    tree = _parse_or_none(f"a: {value}\n")
+    if tree is not None:
+        node = tree.get("a")
+        assert value.strip() == "[]" and node.kind == SEQUENCE and not node.children
+
+
 _words = st.tuples(st.sampled_from("abz_"), st.text(alphabet="abz_09./", max_size=8)).map(
     "".join)
 _key_text = st.text(alphabet="ab :,{}#-!&*\"\\", max_size=8)
@@ -94,3 +107,15 @@ def test_flow_and_block_mappings_read_keys_alike(key, value):
     flow = parse_config(f"m: {{{key}: {value}}}\n")
     block = parse_config(f"m:\n  {key}: {value}\n")
     assert deep_equal(flow, block)
+
+
+@FIXED
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(1, 3))
+def test_exhaustive_beam_finds_the_enumeration_argmax(seed, vocab, max_len):
+    model = PrefixTableModel(vocab_size=vocab, max_len=max_len, seed=seed)
+    best_ids, best_score, _ = max(enumerate_hypotheses(model, max_len), key=lambda e: e[1])
+    found = decode(model, model.src, SearchSpec(strategy="beam", beam_size=vocab ** max_len,
+                                                max_len=max_len))
+    top = max(found, key=lambda h: h.logprob)
+    assert top.ids == best_ids
+    assert abs(top.logprob - best_score) <= 1e-12

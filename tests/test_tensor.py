@@ -111,6 +111,55 @@ class TestLookup:
         with pytest.raises(IndexError):
             T.lookup(const(np.zeros((2, 2))), [2])
 
+    @staticmethod
+    def _full_table_lookup(table, ids):
+        """The lookup that scattered into a zero table the size of the whole
+        table and added all of it; the oracle for the row scatter."""
+        ids = np.asarray(ids, dtype=np.int64)
+
+        def bwd(node):
+            g = np.zeros_like(table.value)
+            np.add.at(g, ids, node.grad)
+            table._accum(g)
+
+        return T.Expr(table.value[ids].copy(), (table,), "lookup", bwd)
+
+    @staticmethod
+    def _loss(lookup, table, weights, with_dense_term):
+        # duplicate ids; with the dense term last, both lookups add into a
+        # gradient the table node already holds
+        leaf = table.expr()
+        terms = [T.esum(T.mul(lookup(leaf, ids), const(w))) for ids, w in weights]
+        if with_dense_term:
+            terms.append(T.esum(T.mul(leaf, const(np.linspace(-1.0, 2.0, 18).reshape(6, 3)))))
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = T.add(loss, term)
+        return loss
+
+    def test_row_scatter_equals_full_table_path(self):
+        rng = np.random.default_rng(0)
+        id_sets = ([2, 5, 2, 2, 0], [[5, 1], [1, 5]], [4])
+        weights = [(ids, rng.normal(size=np.shape(ids) + (3,))) for ids in id_sets]
+        for with_dense_term in (False, True):
+            for n_terms in (1, 2, 3):
+                grads = []
+                for lookup in (T.lookup, self._full_table_lookup):
+                    table = Parameter("t", np.random.default_rng(1).normal(size=(6, 3)))
+                    backward(self._loss(lookup, table, weights[:n_terms], with_dense_term))
+                    grads.append(table.grad)
+                np.testing.assert_array_equal(grads[0], grads[1])
+
+    def test_row_scatter_finite_differences(self):
+        rng = np.random.default_rng(2)
+        weights = [(ids, rng.normal(size=np.shape(ids) + (3,)))
+                   for ids in ([2, 5, 2, 2, 0], [[5, 1], [1, 5]])]
+        table = Parameter("t", rng.normal(size=(6, 3)))
+        for with_dense_term in (False, True):
+            err = finite_diff_check(lambda: self._loss(T.lookup, table, weights, with_dense_term),
+                                    [table])
+            assert err < 1e-7
+
 
 class TestBackward:
     def test_sum_gives_ones(self):

@@ -55,7 +55,8 @@ class TestMleLoss:
         ctx = model.start_decode(src)
         state, total, prev = ctx.initial, 0.0, 0
         for gold in trg:
-            state, logprobs = model.next_logprobs(ctx, state, prev)
+            state, logprobs = model.next_logprobs(ctx, state, [prev])
+            logprobs = logprobs[0]
             total -= logprobs[gold]
             prev = gold
         assert float(loss.value) == pytest.approx(total, rel=1e-12)
@@ -71,7 +72,8 @@ class TestMleLoss:
         model, _ = tiny_translator(seed=3, dim=4, n_content=2)  # vocab 5
         eps, gold = 0.2, 4
         ctx = model.start_decode([3, 4])
-        _, logprobs = model.next_logprobs(ctx, ctx.initial, 0)
+        _, logprobs = model.next_logprobs(ctx, ctx.initial, [0])
+        logprobs = logprobs[0]
         expected = (1 - eps) * -logprobs[gold] + (eps / 5) * -logprobs.sum()
         loss, _ = model.calc_loss(single_batch([3, 4], [gold]), train=False,
                                   label_smoothing=eps)
