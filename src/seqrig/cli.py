@@ -65,16 +65,25 @@ def _instantiate(subtree: ConfigNode, name: str, registry: Registry, seed: int):
     return exp
 
 
+def _read_config(path) -> ConfigNode:
+    return resolve_anchors(parse_config(Path(path).read_text(encoding="utf-8")))
+
+
 def _run_one(subtree: ConfigNode, name: str, index: int, config_path: str,
              registry: Registry, seed_override: Optional[int]) -> ExperimentResult:
-    base_seed = seed_override if seed_override is not None else _config_seed(subtree)
-    exp = _instantiate(subtree, name, registry, base_seed + index)
-    logger = Logger(name, path=exp.exp_global.log_file or None)
+    """Run one experiment; a failure is reported and recorded, not raised."""
     try:
-        logger.write_text(f"start config={config_path}")
-        metrics = exp.run(logger)
-    finally:
-        logger.close()
+        base_seed = seed_override if seed_override is not None else _config_seed(subtree)
+        exp = _instantiate(subtree, name, registry, base_seed + index)
+        logger = Logger(name, path=exp.exp_global.log_file or None)
+        try:
+            logger.write_text(f"start config={config_path}")
+            metrics = exp.run(logger)
+        finally:
+            logger.close()
+    except Exception as err:
+        print(f"[{name}] failed: {err}", file=sys.stderr)
+        return ExperimentResult(name=name, status="failed", error=str(err))
     hyp_files = [task.hyp_file for task in exp.evaluate
                  if getattr(task, "hyp_file", None)]
     return ExperimentResult(name=name, status="ok", metrics=metrics,
@@ -92,8 +101,7 @@ def run_experiments(config_path, selection: Optional[list[str]] = None,
     an unparseable config aborts before anything runs.
     """
     registry = registry if registry is not None else default_registry()
-    text = Path(config_path).read_text(encoding="utf-8")
-    root = resolve_anchors(parse_config(text))
+    root = _read_config(config_path)
     file_order = root.keys()
     names = file_order
     if selection is not None:
@@ -106,12 +114,8 @@ def run_experiments(config_path, selection: Optional[list[str]] = None,
         # the seed offset is the experiment's file-order index, so a selected
         # subset reproduces exactly what the full run would produce
         index = file_order.index(name)
-        try:
-            results.append(_run_one(root.get(name), name, index, str(config_path),
-                                    registry, seed_override))
-        except Exception as err:
-            results.append(ExperimentResult(name=name, status="failed", error=str(err)))
-            print(f"[{name}] failed: {err}", file=sys.stderr)
+        results.append(_run_one(root.get(name), name, index, str(config_path),
+                                registry, seed_override))
     return results
 
 
@@ -154,7 +158,7 @@ def random_search(config_path, space_path, trials: int, seed: int = 0,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     registry = registry if registry is not None else default_registry()
-    root = resolve_anchors(parse_config(Path(config_path).read_text(encoding="utf-8")))
+    root = _read_config(config_path)
     names = root.keys()
     if experiment is None:
         if len(names) != 1:
@@ -163,7 +167,7 @@ def random_search(config_path, space_path, trials: int, seed: int = 0,
     base = root.get(experiment)
     if base is None:
         raise ValueError(f"no experiment '{experiment}' in config")
-    space_root = resolve_anchors(parse_config(Path(space_path).read_text(encoding="utf-8")))
+    space_root = _read_config(space_path)
     slots = _parse_space(space_root)
     for _, path, _ in slots:
         if node_at_path(base, path) is None:
@@ -174,11 +178,7 @@ def random_search(config_path, space_path, trials: int, seed: int = 0,
                       for (_, path, _), value in zip(slots, assignment)]
         tree = apply_overwrites(base, overwrites)
         name = f"{experiment}_trial{trial}"
-        try:
-            results.append(_run_one(tree, name, trial, str(config_path), registry, None))
-        except Exception as err:
-            results.append(ExperimentResult(name=name, status="failed", error=str(err)))
-            print(f"[{name}] failed: {err}", file=sys.stderr)
+        results.append(_run_one(tree, name, trial, str(config_path), registry, None))
     _print_summary(results)
     return results
 

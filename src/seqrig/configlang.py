@@ -12,7 +12,9 @@ subset).  Supported constructs:
   key is exactly one quoted string before its ``:``
 * scalars: ints, floats, booleans (``true``/``True``/...), ``null``/``~``,
   plain and quoted strings; the atom type is inferred at parse time
-* ``# comment`` to end of line (outside quotes)
+* ``# comment`` to end of line: a ``#`` opens a comment only after a space
+  or tab and outside a quoted scalar; a quote inside a plain scalar
+  (``it's``) is an ordinary character
 * ``!ComponentTag`` on any value; ``&anchor`` / ``*alias`` textual reuse
 * several top-level experiment keys per file; ``---`` separates concatenated
   documents, which are merged into a single root mapping; a document that
@@ -158,8 +160,8 @@ def iter_nodes(root: ConfigNode) -> Iterator[ConfigNode]:
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _FLOAT_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
-# ``!Tag`` or ``&anchor`` before a value, with the spaces after it
-_PREFIX_RE = re.compile(r"(?:!([A-Za-z_][A-Za-z0-9_]*)|&([A-Za-z_][A-Za-z0-9_-]*))(?=\s|$) *")
+# ``!Tag`` or ``&anchor`` before a value
+_PREFIX_RE = re.compile(r"(?:!([A-Za-z_][A-Za-z0-9_]*)|&([A-Za-z_][A-Za-z0-9_-]*))(?=\s|$)")
 _ALIAS_RE = re.compile(r"^\*([A-Za-z_][A-Za-z0-9_-]*)$")
 
 
@@ -187,39 +189,33 @@ def infer_atom(text: str) -> Any:
 class _Line:
     number: int      # 1-based
     indent: int      # count of leading spaces
-    text: str        # content with indent and comment stripped
+    text: str        # content after the indent, a trailing comment included
 
 
-def _strip_comment(raw: str) -> str:
-    """Remove a trailing ``# ...`` comment, honouring quotes.
+# A comment opens at a ``#`` after a space or tab, or at the start of the
+# text.  (The ``#`` comes first in the pattern so that search scans fast.)
+_COMMENT_RE = re.compile(r"#(?<![^ \t]#)")
 
-    A ``#`` only opens a comment at line start or after whitespace.
-    """
-    quote = None
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if quote:
-            if ch == "\\" and quote == '"':
-                i += 2
-                continue
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-        elif ch == "#" and (i == 0 or raw[i - 1] in " \t"):
-            return raw[:i]
-        i += 1
-    return raw
+
+def _content_end(text: str, i: int) -> int:
+    """Where the content from ``text[i]`` ends: before the first comment and the
+    whitespace ahead of it, else at the line end.  Quoted scalars are the
+    caller's to skip."""
+    m = _COMMENT_RE.search(text, i)
+    return max(i, len(text[:m.start()].rstrip())) if m else len(text)
+
+
+def _at_end(text: str, i: int) -> bool:
+    """True when ``text[i:]`` holds nothing but whitespace and a comment."""
+    return _content_end(text, i) <= i
 
 
 def _lex(text: str) -> list[_Line]:
     lines: list[_Line] = []
     for number, raw in enumerate(text.splitlines(), start=1):
-        raw = raw.rstrip("\r")
-        content = _strip_comment(raw).rstrip()
-        if not content.strip():
-            continue
+        content = raw.rstrip()
+        if _at_end(content, 0):
+            continue  # blank line or whole-line comment
         indent = len(content) - len(content.lstrip(" \t"))
         if "\t" in content[:indent]:
             raise ParseError("tab character in indentation", (number, content.index("\t") + 1))
@@ -227,39 +223,24 @@ def _lex(text: str) -> list[_Line]:
     return lines
 
 
-def _unquote(text: str, loc: Loc) -> str:
-    quote = text[0]
-    body = text[1:-1]
-    if quote == "'":
-        return body
-    out = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            if i + 1 >= len(body) or body[i + 1] not in '\\"':
-                raise ParseError("unsupported escape in string", loc)
-            out.append(body[i + 1])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+_QUOTED_RE = {"'": re.compile(r"'([^']*)'"), '"': re.compile(r'"((?:[^"\\]|\\.)*)"')}
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 
-def _find_quoted_end(text: str, start: int, loc: Loc) -> int:
-    """Index just past the closing quote of a string starting at ``start``."""
-    quote = text[start]
-    i = start + 1
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and quote == '"':
-            i += 2
-            continue
-        if ch == quote:
-            return i + 1
-        i += 1
-    raise ParseError("unterminated quoted string", loc)
+def _read_quoted(text: str, i: int, loc: Loc) -> tuple[str, int]:
+    """Read the quoted string that opens at ``text[i]`` -> (value, index past it).
+
+    Single quotes take no escapes; double quotes take ``\\\\`` and ``\\"``.
+    """
+    m = _QUOTED_RE[text[i]].match(text, i)
+    if m is None:
+        raise ParseError("unterminated quoted string", loc)
+    value = m[1]
+    if text[i] == '"' and "\\" in value:
+        if any(ch not in '\\"' for ch in _ESCAPE_RE.findall(value)):
+            raise ParseError("unsupported escape in string", loc)
+        value = _ESCAPE_RE.sub(r"\1", value)
+    return value, m.end()
 
 
 _KEY_COLON_RE = re.compile(r"\s*:(?= |$)")
@@ -268,15 +249,15 @@ _KEY_COLON_RE = re.compile(r"\s*:(?= |$)")
 def _read_key(text: str, i: int, loc: Loc) -> Optional[tuple[str, int]]:
     """Read ``key:`` at ``text[i:]`` -> (key, index past the colon); None if no key.
 
-    The colon must be followed by a space or the line end.  A key that
-    begins with a quote is exactly one quoted string before its colon; a
-    plain key runs to the first such colon and may not be empty.
+    The colon must be followed by a space or the end of the content.  A
+    key that begins with a quote is exactly one quoted string before its
+    colon; a plain key runs to the first such colon and may not be empty.
     """
     if text.startswith(('"', "'"), i):
-        end = _find_quoted_end(text, i, loc)
-        m = _KEY_COLON_RE.match(text, end)
-        return (_unquote(text[i:end], loc), m.end()) if m else None
-    m = _KEY_COLON_RE.search(text, i)
+        key, end = _read_quoted(text, i, loc)
+        m = _KEY_COLON_RE.match(text, end, _content_end(text, end))
+        return (key, m.end()) if m else None
+    m = _KEY_COLON_RE.search(text, i, _content_end(text, i))
     if m is None:
         return None
     key = text[i:m.start()].strip()
@@ -286,13 +267,21 @@ def _read_key(text: str, i: int, loc: Loc) -> Optional[tuple[str, int]]:
 
 
 def _skip_spaces(text: str, i: int) -> int:
+    """Index past the spaces at ``text[i]``; ``i`` itself when only a comment follows."""
+    if _at_end(text, i):
+        return i
     while i < len(text) and text[i] == " ":
         i += 1
     return i
 
 
+def _is_token(text: str, token: str) -> bool:
+    """True when ``text`` is ``token``, maybe followed by a comment."""
+    return text.startswith(token) and _at_end(text, len(token))
+
+
 def _is_dash(text: str) -> bool:
-    return text == "-" or text.startswith("- ")
+    return text.startswith("- ") or _is_token(text, "-")
 
 
 def _loc(line: _Line, i: int) -> Loc:
@@ -344,12 +333,12 @@ class _Parser:
         """Read the value at ``line.text[i:]``; returns (node, index past it).
 
         A flow value (``stops`` = ``",}"``) ends before the first stop
-        character.  A block value (``stops`` = ``""``) runs to the line end;
-        when nothing follows its key or dash, it is the more-indented block
-        on the next lines (or a same-indent sequence under a mapping key),
-        else null.  ``in_seq`` marks a sequence item, which may also be a
-        compact ``- key: value`` mapping.  ``indent`` is the indent of the
-        enclosing block.
+        character.  A block value (``stops`` = ``""``) runs to a comment or
+        the line end; when nothing follows its key or dash, it is the
+        more-indented block on the next lines (or a same-indent sequence
+        under a mapping key), else null.  ``in_seq`` marks a sequence item,
+        which may also be a compact ``- key: value`` mapping.  ``indent`` is
+        the indent of the enclosing block.
         """
         text = line.text
         i = _skip_spaces(text, i)
@@ -363,22 +352,22 @@ class _Parser:
                 if anchor is not None:
                     raise ParseError("duplicate anchor", _loc(line, i))
                 anchor = m[2]
-            i = m.end()
+            i = _skip_spaces(text, m.end())
         loc = _loc(line, i)
         if text.startswith("{", i):
             node, i = self._parse_flow_mapping(line, i)
         elif text.startswith(('"', "'"), i):
-            end = _find_quoted_end(text, i, loc)
-            node = ConfigNode.scalar(_unquote(text[i:end], loc), loc=loc)
-            i = end
+            value, i = _read_quoted(text, i, loc)
+            node = ConfigNode.scalar(value, loc=loc)
         elif in_seq and _read_key(text, i, loc) is not None:
             node = self._parse_mapping(line.indent + i, first=(line, i))
             i = len(text)
         else:
-            j = i
-            while j < len(text) and text[j] not in stops:
+            end = _content_end(text, i)
+            j = i if stops else end
+            while j < end and text[j] not in stops:
                 j += 1
-            if stops and j == len(text):
+            if stops and j == end:
                 raise ParseError("unterminated flow mapping", loc)
             raw, i = text[i:j].strip(), j
             m = _ALIAS_RE.match(raw)
@@ -400,7 +389,7 @@ class _Parser:
                 node = self._parse_block(nxt.indent)
             else:
                 node = ConfigNode.scalar(None, loc=loc)
-        if not stops and text[i:].strip():
+        if not stops and not _at_end(text, i):
             raise ParseError("trailing content after value", _loc(line, i))
         node.tag = tag
         node.anchor = anchor
@@ -413,7 +402,7 @@ class _Parser:
         i += 1
         while True:
             i = _skip_spaces(text, i)
-            if i >= len(text):
+            if _at_end(text, i):
                 raise ParseError("unterminated flow mapping", node.loc)
             if text[i] == "}":
                 return node, i + 1
@@ -482,7 +471,7 @@ def parse_config(text: str) -> ConfigNode:
     chunk: list[_Line] = []
     chunks: list[list[_Line]] = []
     for line in lines:
-        if line.indent == 0 and line.text == "---":
+        if line.indent == 0 and _is_token(line.text, "---"):
             chunks.append(chunk)
             chunk = []
         else:
@@ -494,7 +483,7 @@ def parse_config(text: str) -> ConfigNode:
         if chunk[0].indent != 0:
             raise ParseError("top-level content must start at column 1",
                              (chunk[0].number, chunk[0].indent + 1))
-        if len(chunk) == 1 and chunk[0].text == "{}":
+        if len(chunk) == 1 and _is_token(chunk[0].text, "{}"):
             continue  # the empty document, as serialize_config writes it
         parser = _Parser(chunk)
         if _is_dash(chunk[0].text):
@@ -562,9 +551,7 @@ def _needs_quotes(text: str, in_flow: bool) -> bool:
         return True
     if text[0] in _PLAIN_SAFE_FIRST or text == "-" or text.startswith("- "):
         return True
-    # a quote anywhere in a plain string would open a quoted span for
-    # _strip_comment and hide a later comment marker from it
-    if ": " in text or text.endswith(":") or " #" in text or '"' in text or "'" in text:
+    if ": " in text or text.endswith(":") or _COMMENT_RE.search(text):
         return True
     if in_flow and any(ch in text for ch in ",{}"):
         return True
@@ -605,8 +592,8 @@ def _flow_eligible(node: ConfigNode) -> bool:
 
 
 def _emit_key(key: str) -> str:
-    if (key == "" or key != key.strip() or ":" in key or "#" in key or '"' in key
-            or "'" in key or key[0] in _PLAIN_SAFE_FIRST or key.startswith("- ") or key == "-"):
+    if (key == "" or key != key.strip() or ":" in key or _COMMENT_RE.search(key)
+            or key[0] in _PLAIN_SAFE_FIRST or key.startswith("- ") or key == "-"):
         return _quote(key)
     return key
 

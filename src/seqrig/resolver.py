@@ -278,21 +278,16 @@ def instantiate_graph(root: ConfigNode, registry: Registry, exp_name: str,
     built: dict[str, Any] = {}
 
     eg_node = tree.get("exp_global")
-    if eg_node is not None:
-        if eg_node.kind != MAPPING or eg_node.tag != "ExpGlobal":
-            raise ResolveError("exp_global must be tagged !ExpGlobal", loc=eg_node.loc)
-        for key, child in eg_node.children:
-            built[f"exp_global.{key}"] = _plain_value(child, f"exp_global.{key}")
-        exp_global = _build_component(eg_node, "exp_global", built, None, None,
-                                      registry, graph)
-        built["exp_global"] = exp_global
-    else:
-        schema = registry.get("ExpGlobal")
-        exp_global = schema.factory(
-            BuildContext("exp_global", None, None, registry),
-            **{a.name: a.default for a in schema.args})
-        exp_global._cfg_tag = "ExpGlobal"
-        exp_global._cfg_args = {a.name: a.default for a in schema.args}
+    if eg_node is None:
+        eg_node = ConfigNode.mapping(tag="ExpGlobal")
+        tree.set("exp_global", eg_node)
+    if eg_node.kind != MAPPING or eg_node.tag != "ExpGlobal":
+        raise ResolveError("exp_global must be tagged !ExpGlobal", loc=eg_node.loc)
+    for key, child in eg_node.children:
+        built[f"exp_global.{key}"] = _plain_value(child, f"exp_global.{key}")
+    exp_global = _build_component(eg_node, "exp_global", built, None, None,
+                                  registry, graph)
+    built["exp_global"] = exp_global
 
     runtime = Runtime(seed_override if seed_override is not None else exp_global.seed)
     plan = resolve_references(tree)
@@ -318,9 +313,6 @@ def instantiate_graph(root: ConfigNode, registry: Registry, exp_name: str,
             built[path] = _plain_value(node, path)
 
     exp = built[""]
-    if exp._cfg_args.get("exp_global") is None:
-        exp.exp_global = exp_global
-        exp._cfg_args["exp_global"] = exp_global
     exp.name = exp_name
     exp.runtime = runtime
     exp.graph = graph

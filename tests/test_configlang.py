@@ -83,6 +83,35 @@ class TestParse:
         assert root.get("b").value == "x # y"
         assert root.get("c").value == "a#b"
 
+    def test_quote_inside_plain_scalar_does_not_hide_a_comment(self):
+        assert parse_config("a: it's # note\n").get("a").value == "it's"
+        assert parse_config('a: b"c # d"\n').get("a").value == 'b"c'
+        assert parse_config("it's: x # it's\n").get("it's").value == "x"
+
+    def test_comment_ends_plain_and_quoted_values_alike(self):
+        root = parse_config('a: "x # y" # z\nb: {c: 1} # d\nl:\n- e # f: g\n')
+        assert root.get("a").value == "x # y"
+        assert root.get("b").kind == MAPPING and root.get("b").get("c").value == 1
+        item = root.get("l").children[0]
+        assert item.kind == SCALAR and item.value == "e"
+
+    def test_whitespace_run_before_comment_ends_a_key(self):
+        for text, loc in (("evaluate:\t # c\n", (1, 10)), ("'evaluate':\t# c\n", (1, 12))):
+            node = parse_config(text).get("evaluate")
+            assert node.kind == SCALAR and node.value is None and node.loc == loc
+
+    def test_null_or_tag_before_comment_keeps_its_column(self):
+        assert parse_config("path: # c\n").get("path").loc == (1, 6)
+        ref = parse_config("a: !Ref # c\n  path: x\n").get("a")
+        assert ref.tag == "Ref" and ref.loc == (2, 3) and ref.get("path").value == "x"
+        assert parse_config("a: !T\t# c\n").get("a").loc == (1, 6)
+
+    def test_document_lines_take_comments(self):
+        assert parse_config("a: 1\n--- # c\nb: 2\n").keys() == ["a", "b"]
+        assert parse_config("{} # c\n").children == []
+        with pytest.raises(ParseError):
+            parse_config("a: 1\n---# c\n")
+
     def test_empty_flow_sequence_token(self):
         root = parse_config("xs: []\n")
         assert root.get("xs").kind == SEQUENCE and root.get("xs").children == []
@@ -246,6 +275,14 @@ class TestSerialize:
         tree = parse_config("a: &x 5\nb: *x\n")
         with pytest.raises(ValueError, match="aliases"):
             serialize_config(tree)
+
+    def test_tab_before_hash_is_quoted(self):
+        tree = ConfigNode.mapping([("a", ConfigNode.scalar("x\t#y")),
+                                   ("b", ConfigNode.scalar("it's")),
+                                   ("c\t#d", ConfigNode.scalar('b"c'))])
+        text = serialize_config(tree)
+        assert text == 'a: "x\t#y"\nb: it\'s\n"c\t#d": b"c\n'
+        assert deep_equal(parse_config(text), tree)
 
     def test_multiline_string_rejected(self):
         tree = ConfigNode.mapping([("a", ConfigNode.scalar("x\ny"))])

@@ -24,17 +24,25 @@ FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=40
 
 @st.composite
 def mutants(draw) -> str:
-    """A reference config with one to three character edits or quoted words."""
+    """A reference config with one to three character edits, quoted words or
+    trailing comments."""
     text = draw(st.sampled_from(BASES))
     for _ in range(draw(st.integers(1, 3))):
         pos = draw(st.integers(0, len(text)))
-        op = draw(st.sampled_from(["insert", "delete", "replace", "quote"]))
+        op = draw(st.sampled_from(["insert", "delete", "replace", "quote", "comment"]))
         if op == "insert":
             text = text[:pos] + draw(st.sampled_from(ALPHABET)) + text[pos:]
         elif op == "delete":
             text = text[:pos] + text[pos + 1:]
         elif op == "replace":
             text = text[:pos] + draw(st.sampled_from(ALPHABET)) + text[pos + 1:]
+        elif op == "comment":
+            # end the line at pos with a comment that holds quotes and tabs
+            eol = text.find("\n", pos)
+            eol = len(text) if eol < 0 else eol
+            comment = (draw(st.sampled_from([" ", "\t", " \t"])) + "#"
+                       + draw(st.text(alphabet="\"'\t #:a", max_size=6)))
+            text = text[:eol] + comment + text[eol:]
         else:
             # wrap the word that starts at or after pos in quotes
             start = pos
@@ -68,6 +76,7 @@ def test_mutant_parses_or_raises_parse_error(text):
 @example("{}\n")
 @example("# only a comment\n")
 @example('b"c: x #y\n')
+@example('a: "x\t#y"\n')
 def test_serialize_parse_is_a_fixed_point(text):
     tree = _parse_or_none(text)
     if tree is None:
@@ -80,6 +89,17 @@ def test_serialize_parse_is_a_fixed_point(text):
     again = parse_config(once)
     assert deep_equal(tree, again)
     assert serialize_config(again) == once
+
+
+@FIXED
+@given(st.text(alphabet="ab:'\"# \t", min_size=1, max_size=8),
+       st.sampled_from([" # note", "\t# it's", " \t#", ' # d"']))
+@example("it's", " # note")
+@example('b"c', ' # d"')
+def test_trailing_comment_reads_as_nothing(value, comment):
+    bare = _parse_or_none(f"a: {value}\n")
+    if bare is not None:
+        assert deep_equal(parse_config(f"a: {value}{comment}\n"), bare)
 
 
 @FIXED

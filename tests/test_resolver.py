@@ -204,6 +204,17 @@ class TestInstantiate:
             assert pa.name == pb.name
             np.testing.assert_array_equal(pa.value, pb.value)
 
+    def test_absent_exp_global_is_built_with_defaults(self):
+        tree = parse_config("e: !Experiment {model: null}\n").get("e")
+        exp = instantiate_graph(tree, default_registry(), "e")
+        assert exp.graph.nodes["exp_global"] is exp.exp_global
+        assert exp.exp_global == ExpGlobal()
+        assert "exp_global" not in tree.keys()  # the caller's tree is not touched
+        assert serialize_config(dump_spec(exp)) == (
+            'exp_global: !ExpGlobal\n  model_file: ""\n  log_file: ""\n'
+            "  default_layer_dim: 512\n  dropout: 0.0\n  eval_only: false\n  seed: 0\n"
+            "model: null\ntrain: null\nevaluate: null\n")
+
     def test_root_must_be_experiment(self):
         with pytest.raises(ResolveError, match="Experiment"):
             instantiate_graph(parse_config("a: 1\n"), default_registry(), "e")
