@@ -562,6 +562,14 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _single_line(text: str) -> str:
+    """Refuse every line break that ``_lex`` splits at (``str.splitlines``),
+    a trailing one included; else return ``text``."""
+    if "".join(text.splitlines()) != text:
+        raise ValueError(f"multi-line strings cannot be serialized: {text!r}")
+    return text
+
+
 def _emit_atom(value: Any, in_flow: bool) -> str:
     if value is None:
         return "null"
@@ -571,9 +579,7 @@ def _emit_atom(value: Any, in_flow: bool) -> str:
         return "false"
     if isinstance(value, (int, float)):
         return repr(value)
-    text = str(value)
-    if "\n" in text:
-        raise ValueError("multi-line strings cannot be serialized")
+    text = _single_line(str(value))
     return _quote(text) if _needs_quotes(text, in_flow) else text
 
 
@@ -592,6 +598,7 @@ def _flow_eligible(node: ConfigNode) -> bool:
 
 
 def _emit_key(key: str) -> str:
+    key = _single_line(key)
     if (key == "" or key != key.strip() or ":" in key or _COMMENT_RE.search(key)
             or key[0] in _PLAIN_SAFE_FIRST or key.startswith("- ") or key == "-"):
         return _quote(key)

@@ -4,6 +4,8 @@ A trainer owns its own moment state keyed by parameter name, so two
 trainers updating a shared parameter (multi-task training) keep independent
 moments.  ``lr`` is a plain mutable attribute; the decay policy rewrites it
 between steps.  Every step ends by zeroing the gradients it consumed.
+Trainers do not check what they write: the training loop checks every
+parameter for NaN or Inf after each step (:meth:`ParamSet.check_finite`).
 """
 
 from __future__ import annotations

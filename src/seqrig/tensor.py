@@ -3,8 +3,12 @@
 Values are C-contiguous row-major ``numpy`` float64 arrays.  Every forward
 op creates one :class:`Expr` node eagerly, so node ids (a global counter)
 are already in topological order; :func:`backward` walks them in reverse.
-Any non-finite forward value aborts immediately with the op's name — silent
-divergence is not allowed.
+Non-finite values abort immediately with the name of the op or parameter
+that holds them — silent divergence is not allowed.  Every op output is
+checked as it is made.  Parameters are checked where they change, after
+each optimizer step and on load (:meth:`ParamSet.check_finite`), not each
+time a graph reads them; a value edited by hand elsewhere is caught by the
+first op that reads it.
 
 Each experiment owns a single :class:`Runtime`: one seeded PRNG stream
 (numpy ``Generator`` over PCG64, whose output is stable across runs for a
@@ -15,6 +19,7 @@ scratch every step; parameters persist across steps, graph nodes never do.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -36,6 +41,14 @@ def _as_array(x) -> np.ndarray:
 
 
 def _check_finite(value: np.ndarray, op: str) -> None:
+    # a finite sum proves every entry finite; finite entries whose sum
+    # overflows fall through to the exact scan, also where numpy's
+    # floating-point error state turns that overflow into an exception
+    try:
+        if math.isfinite(value.sum()):
+            return
+    except (FloatingPointError, RuntimeWarning):
+        pass
     if not np.all(np.isfinite(value)):
         raise NonFiniteError(op)
 
@@ -46,8 +59,9 @@ class Expr:
     __slots__ = ("uid", "op", "value", "parents", "grad", "_bwd")
 
     def __init__(self, value: np.ndarray, parents: tuple, op: str,
-                 bwd: Optional[Callable[["Expr"], None]] = None):
-        _check_finite(value, op)
+                 bwd: Optional[Callable[["Expr"], None]] = None, check: bool = True):
+        if check:
+            _check_finite(value, op)
         self.uid = next(_UID)
         self.op = op
         self.value = value
@@ -129,13 +143,17 @@ class Parameter:
         return self.value.size
 
     def expr(self) -> Expr:
-        """Fresh leaf node for this step's graph; backward adds into .grad."""
+        """Fresh leaf node for this step's graph; backward adds into .grad.
+
+        The leaf is not checked for finiteness: the value was checked where
+        it last changed, after an optimizer step or a load.
+        """
         param = self
 
         def bwd(node: Expr) -> None:
             param.grad += node.grad
 
-        return Expr(self.value, (), f"param:{self.name}", bwd)
+        return Expr(self.value, (), f"param:{self.name}", bwd, check=False)
 
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.shape})"
@@ -180,6 +198,12 @@ class ParamSet:
 
     def get(self, name: str) -> Parameter:
         return self._params[name]
+
+    def check_finite(self) -> None:
+        """Raise :class:`NonFiniteError` naming ``param:<name>`` for the first
+        parameter that holds NaN or Inf."""
+        for p in self._params.values():
+            _check_finite(p.value, f"param:{p.name}")
 
     def total_size(self) -> int:
         """Number of stored floats; shared parameters count once."""

@@ -5,7 +5,9 @@ single-task training is its one-task case.
 
 Loss values are summed over tokens for the optimizer and divided by the
 token count for logging, so logged loss/word is batch-size independent.
-Gradients get a single global-norm clip at 5.0 before every step.
+Gradients get a single global-norm clip at 5.0 before every step, and every
+parameter is checked for NaN or Inf after it, so a bad update aborts at its
+own batch, naming ``param:<name>``.
 
 Checkpoint layout under ``<model_file>/``: ``spec.yaml`` (the dumped
 experiment, runnable as-is) and ``weights.txt`` (per parameter a header
@@ -231,10 +233,11 @@ class SimpleTrainingRegimen:
         try:
             loss, n_tokens = self._calc_loss(model, batch, runtime.rng)
             T.backward(loss)
+            clip_global_norm(runtime.params, GRAD_CLIP_NORM)
+            self.trainer.step(runtime.params)
+            runtime.params.check_finite()
         except NonFiniteError as err:
             raise TrainingError(f"aborting: {err} (epoch {epoch}, batch {index})") from err
-        clip_global_norm(runtime.params, GRAD_CLIP_NORM)
-        self.trainer.step(runtime.params)
         return float(loss.value), n_tokens
 
     def run(self, ctx: TrainContext, default_model=None) -> None:
@@ -394,7 +397,10 @@ def load_weights(path) -> dict[str, np.ndarray]:
 
 
 def apply_weights(params, weights: dict[str, np.ndarray]) -> None:
-    """Strictly load values into an instantiated parameter set."""
+    """Strictly load values into an instantiated parameter set.
+
+    A NaN or Inf raises :class:`NonFiniteError` naming ``param:<name>``.
+    """
     for name, arr in weights.items():
         if name not in params:
             raise TrainingError(f"weights mismatch: parameter '{name}' not in model")
@@ -406,6 +412,7 @@ def apply_weights(params, weights: dict[str, np.ndarray]) -> None:
     for p in params:
         if p.name not in weights:
             raise TrainingError(f"weights mismatch: parameter '{p.name}' missing from file")
+    params.check_finite()
 
 
 def save_checkpoint(exp, model_file: str) -> Path:

@@ -289,6 +289,14 @@ class TestSerialize:
         with pytest.raises(ValueError, match="multi-line"):
             serialize_config(tree)
 
+    @pytest.mark.parametrize("key, value", [
+        ("k", "a\rb"), ("k\x0bey", "v"), ("k", "a\u2028"),
+    ], ids=["value", "key", "trailing"])
+    def test_every_splitlines_break_rejected(self, key, value):
+        tree = ConfigNode.mapping([(key, ConfigNode.scalar(value))])
+        with pytest.raises(ValueError, match="multi-line"):
+            serialize_config(tree)
+
 
 class TestInvariants:
     def test_locations_nondecreasing_in_document_order(self):

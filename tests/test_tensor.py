@@ -45,6 +45,27 @@ class TestForwardValues:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="exp"):
             T.exp(const([1000.0]))
 
+    @pytest.mark.parametrize("values", [
+        [1e308, 1e308],  # the sum overflows to inf
+        [1e308, -1e308, 1e308],
+        [1e308, 1e308, -1e308, -1e308, 0.0, 0.0, 0.0, 0.0],  # pairwise: inf - inf
+    ], ids=["overflow", "alternating", "inf-minus-inf"])
+    def test_finite_values_near_overflow_pass(self, values):
+        # even where the sum's overflow raises, the exact scan decides
+        with np.errstate(over="raise", invalid="raise"):
+            np.testing.assert_array_equal(const(values).value, values)
+
+    @pytest.mark.parametrize("values", [
+        [1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf], [np.inf, -np.inf],
+    ], ids=["nan", "inf", "-inf", "inf-and-minus-inf"])
+    def test_edited_parameter_aborts_at_first_op_that_reads_it(self, values):
+        p = Parameter("p", np.zeros(2))
+        p.value[...] = values  # edited outside any trainer step or load
+        leaf = p.expr()  # parameter leaves are checked where they change
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonFiniteError, match="op 'scale'"):
+            T.scale(leaf, 1.0)
+
     def test_concat_single_is_identity(self):
         x = const([1.0, 2.0])
         np.testing.assert_array_equal(T.concat([x], axis=0).value, x.value)

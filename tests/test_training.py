@@ -13,7 +13,7 @@ from seqrig.data import ES, Batch, SrcBatcher
 from seqrig.log import Logger
 from seqrig.optim import SgdTrainer
 from seqrig.resolver import instantiate_graph
-from seqrig.tensor import Parameter, backward, clip_global_norm
+from seqrig.tensor import NonFiniteError, Parameter, backward, clip_global_norm
 from seqrig.training import (DevRecord, TrainContext, TrainingError, apply_weights,
                              bleu_reward, load_checkpoint, load_weights,
                              reinforce_loss, reinforce_surrogate,
@@ -296,6 +296,13 @@ class TestWeightsRoundTrip:
         with pytest.raises(TrainingError, match="model.src_embedder.table"):
             apply_weights(other_rt.params, weights)
 
+    def test_apply_weights_rejects_nonfinite_value(self):
+        _, runtime = tiny_translator(seed=0, dim=4)
+        weights = {p.name: p.value.copy() for p in runtime.params}
+        weights["model.decoder.w_out"][1, 2] = np.inf
+        with pytest.raises(NonFiniteError, match=r"'param:model\.decoder\.w_out'"):
+            apply_weights(runtime.params, weights)
+
     def test_name_mismatches_are_strict_both_ways(self, tmp_path):
         model, runtime = tiny_translator(seed=0, dim=4)
         save_weights(runtime.params, tmp_path / "w.txt")
@@ -431,6 +438,27 @@ class TestSimpleRegimen:
         with np.errstate(over="ignore"), \
                 pytest.raises(TrainingError, match=r"epoch 1, batch 0"):
             exp.run(CaptureLogger())
+
+    def test_nonfinite_last_step_aborts_before_checkpoint(self, copy_data, tmp_path):
+        exp = instantiate(copy_config(copy_data, tmp_path, epochs=1, dev=False), "copytrain")
+        src = exp.model.src_reader.read(exp.train.src_file)
+        trg = exp.model.trg_reader.read(exp.train.trg_file, add_eos=True)
+        n_batches = len(exp.train.batcher.make_batches(src, trg))
+        trainer, steps = exp.train.trainer, []
+        adam_step = trainer.step
+
+        def step(params):
+            adam_step(params)
+            steps.append(None)
+            if len(steps) == n_batches:  # the run's last update goes bad
+                params.get("model.src_embedder.table").value[0, 0] = np.nan
+
+        trainer.step = step
+        with pytest.raises(TrainingError, match=(
+                r"op 'param:model\.src_embedder\.table' "
+                rf"\(epoch 1, batch {n_batches - 1}\)")):
+            exp.run(CaptureLogger())
+        assert not (tmp_path / "copytrain.mod").exists()
 
     def test_reinforce_smoke_trains_without_error(self, copy_data, tmp_path):
         extra = "\n    loss: reinforce"
