@@ -169,13 +169,14 @@ def random_search(config_path, space_path, trials: int, seed: int = 0,
         raise ValueError(f"no experiment '{experiment}' in config")
     space_root = _read_config(space_path)
     slots = _parse_space(space_root)
-    for _, path, _ in slots:
+    for slot, path, _ in slots:
         if node_at_path(base, path) is None:
-            raise ResolveError(f"search slot path '{path}' not found in base config")
+            raise ResolveError(f"search slot path '{path}' not found in base config",
+                               loc=space_root.get(slot).loc)
     results = []
     for trial, assignment in enumerate(sample_assignments(slots, trials, seed)):
-        overwrites = [Overwrite(path, value)
-                      for (_, path, _), value in zip(slots, assignment)]
+        overwrites = [Overwrite(path, value, space_root.get(slot).loc)
+                      for (slot, path, _), value in zip(slots, assignment)]
         tree = apply_overwrites(base, overwrites)
         name = f"{experiment}_trial{trial}"
         results.append(_run_one(tree, name, trial, str(config_path), registry, None))

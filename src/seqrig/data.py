@@ -100,6 +100,8 @@ class FeatureReader:
                 n_frames, dim = int(header[2]), int(header[3])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: malformed header (want 'utt <id> <T> <d>')")
+            if n_frames < 0 or dim < 1:
+                raise DataError(f"{path}:{lineno}: header needs T >= 0 and d >= 1")
             if self.feat_dim is not None and dim != self.feat_dim:
                 raise DataError(f"{path}:{lineno}: feature dim {dim} != declared {self.feat_dim}")
             rows = []

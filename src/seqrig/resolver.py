@@ -163,10 +163,12 @@ def read_path(node: ConfigNode, owner: str) -> str:
 class ReferencePlan:
     schedule: list[str]
     aliases: set
+    nodes: dict[str, ConfigNode]
 
 
 def resolve_references(root: ConfigNode) -> ReferencePlan:
-    """Compute a dependency-ordered instantiation schedule and the alias set.
+    """Compute a dependency-ordered instantiation schedule, the alias set and
+    the node at every scheduled path.
 
     Children come before parents and every Ref's target before the Ref.
     Dangling paths and constructor cycles are errors.
@@ -217,7 +219,7 @@ def resolve_references(root: ConfigNode) -> ReferencePlan:
         schedule.append(path)
 
     visit("")
-    return ReferencePlan(schedule=schedule, aliases=aliases)
+    return ReferencePlan(schedule=schedule, aliases=aliases, nodes=paths)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +298,7 @@ def instantiate_graph(root: ConfigNode, registry: Registry, exp_name: str,
     for path in plan.schedule:
         if path in built:
             continue
-        node = node_at_path(tree, path)
+        node = plan.nodes[path]
         if _is_ref(node):
             built[path] = built[read_path(node, "!Ref")]
             graph.nodes[path] = built[path]
@@ -377,6 +379,7 @@ def dump_spec(exp) -> ConfigNode:
 class Overwrite:
     path: str
     val: ConfigNode
+    loc: Optional[Loc] = None
 
 
 def apply_overwrites(root: ConfigNode, overwrites: list[Overwrite]) -> ConfigNode:
@@ -384,33 +387,26 @@ def apply_overwrites(root: ConfigNode, overwrites: list[Overwrite]) -> ConfigNod
 
     The path's prefix must address an existing node; the final segment may
     name a new child of an existing mapping.  Sequence segments are
-    zero-based indices of existing elements.
+    zero-based indices of existing elements.  Errors carry the overwrite's
+    location.
     """
     tree = root.copy()
     for ow in overwrites:
-        parts = ow.path.split(".")
-        parent = tree
-        for seg in parts[:-1]:
-            nxt = None
-            if parent.kind == MAPPING:
-                nxt = parent.get(seg)
-            elif parent.kind == SEQUENCE and seg.isdigit() and int(seg) < len(parent.children):
-                nxt = parent.children[int(seg)]
-            if nxt is None:
-                raise ResolveError(f"overwrite path '{ow.path}' does not address a "
-                                   f"mapping (failed at '{seg}')")
-            parent = nxt
-        last = parts[-1]
+        if "" in ow.path.split("."):
+            raise ResolveError(f"overwrite path '{ow.path}' has an empty segment", loc=ow.loc)
+        prefix, _, last = ow.path.rpartition(".")
+        parent = node_at_path(tree, prefix)
+        if parent is None or parent.kind not in (MAPPING, SEQUENCE):
+            raise ResolveError(f"overwrite path '{ow.path}' does not address a mapping "
+                               f"or sequence at '{prefix}'", loc=ow.loc)
         value = ow.val.copy()
         if parent.kind == MAPPING:
             parent.set(last, value)
-        elif parent.kind == SEQUENCE:
-            if not last.isdigit() or int(last) >= len(parent.children):
-                raise ResolveError(f"overwrite path '{ow.path}': sequence index "
-                                   f"'{last}' out of range")
-            parent.children[int(last)] = value
+        elif not last.isdigit() or int(last) >= len(parent.children):
+            raise ResolveError(f"overwrite path '{ow.path}': sequence index "
+                               f"'{last}' out of range", loc=ow.loc)
         else:
-            raise ResolveError(f"overwrite path '{ow.path}' does not address a mapping")
+            parent.children[int(last)] = value
     return tree
 
 
@@ -423,5 +419,5 @@ def parse_overwrites(node: ConfigNode) -> list[Overwrite]:
         path = read_path(item, "an overwrite")
         if item.get("val") is None:
             raise ResolveError("each overwrite needs 'path' and 'val'", loc=item.loc)
-        out.append(Overwrite(path=path, val=item.get("val")))
+        out.append(Overwrite(path=path, val=item.get("val"), loc=item.loc))
     return out

@@ -8,7 +8,8 @@ that holds them — silent divergence is not allowed.  Every op output is
 checked as it is made.  Parameters are checked where they change, after
 each optimizer step and on load (:meth:`ParamSet.check_finite`), not each
 time a graph reads them; a value edited by hand elsewhere is caught by the
-first op that reads it.
+first op that reads it.  A parameter leaf has no gradient of its own: ops
+add straight into :attr:`Parameter.grad`, which is the leaf's ``.grad``.
 
 Each experiment owns a single :class:`Runtime`: one seeded PRNG stream
 (numpy ``Generator`` over PCG64, whose output is stable across runs for a
@@ -102,8 +103,8 @@ def const(x) -> Expr:
 def backward(loss: Expr) -> None:
     """Reverse-accumulate d(loss)/d(node) for every node reachable from loss.
 
-    Parameters touched by the graph receive gradient through their leaf
-    nodes; parameters not reachable keep whatever is in ``.grad`` (zeros
+    Ops add straight into the ``.grad`` of the parameters whose leaves they
+    read; parameters not reachable keep whatever is in ``.grad`` (zeros
     after a fresh step).
     """
     if loss.value.shape != ():
@@ -143,17 +144,15 @@ class Parameter:
         return self.value.size
 
     def expr(self) -> Expr:
-        """Fresh leaf node for this step's graph; backward adds into .grad.
+        """Fresh leaf node for this step's graph whose ``.grad`` is this
+        parameter's ``grad``, so backward adds into it directly.
 
         The leaf is not checked for finiteness: the value was checked where
         it last changed, after an optimizer step or a load.
         """
-        param = self
-
-        def bwd(node: Expr) -> None:
-            param.grad += node.grad
-
-        return Expr(self.value, (), f"param:{self.name}", bwd, check=False)
+        leaf = Expr(self.value, (), f"param:{self.name}", check=False)
+        leaf.grad = self.grad
+        return leaf
 
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.shape})"
@@ -377,16 +376,14 @@ def lookup(table: Expr, ids) -> Expr:
         raise IndexError(f"lookup index out of range for table with {v} rows")
 
     def bwd(node: Expr) -> None:
-        # scatter only the used rows; into a held gradient, add each row's
-        # sum of its ids' gradients, as adding a scattered zero table would
+        # add each used row's sum of its ids' gradients, as adding a scattered
+        # zero table would, into the table's (a parameter's own) gradient
         if table.grad is None:
             table.grad = np.zeros_like(table.value)
-            np.add.at(table.grad, ids, node.grad)
-        else:
-            rows, inverse = np.unique(ids.reshape(-1), return_inverse=True)
-            sums = np.zeros((rows.size,) + table.value.shape[1:])
-            np.add.at(sums, inverse, node.grad.reshape((ids.size,) + table.value.shape[1:]))
-            table.grad[rows] += sums
+        rows, inverse = np.unique(ids.reshape(-1), return_inverse=True)
+        sums = np.zeros((rows.size,) + table.value.shape[1:])
+        np.add.at(sums, inverse, node.grad.reshape((ids.size,) + table.value.shape[1:]))
+        table.grad[rows] += sums
 
     return Expr(table.value[ids].copy(), (table,), "lookup", bwd)
 

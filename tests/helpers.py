@@ -10,7 +10,7 @@ from seqrig.inference import Hypothesis
 from seqrig.nn import (BiLSTMSeqTransducer, CopyBridge, DecodeContext,
                        DefaultTranslator, MlpAttender, MlpSoftmaxDecoder,
                        SimpleWordEmbedder)
-from seqrig.tensor import Runtime, backward
+from seqrig.tensor import Expr, Runtime, backward
 
 
 def rel_errors(analytic, numeric) -> np.ndarray:
@@ -62,6 +62,17 @@ def finite_diff_check(build_loss, params, h: float = 1e-5,
     for p in params:
         p.grad[...] = 0.0
     return worst
+
+
+def reference_param_expr(param) -> Expr:
+    """A parameter leaf with a gradient buffer of its own, which its backward
+    rule adds into ``param.grad``; the oracle for ``Parameter.expr``, whose
+    leaves add straight into ``param.grad``."""
+
+    def bwd(node: Expr) -> None:
+        param.grad += node.grad
+
+    return Expr(param.value, (), f"param:{param.name}", bwd, check=False)
 
 
 def tiny_vocab(n_content: int = 3) -> Vocab:

@@ -7,6 +7,7 @@ import pytest
 from seqrig.cli import main, random_search, run_experiments, sample_assignments
 from seqrig.configlang import ParseError
 from seqrig.log import Logger
+from seqrig.resolver import ResolveError
 
 from conftest import DECODE_CONFIG, STANDARD_CONFIG, fill
 
@@ -218,6 +219,15 @@ class TestRandomSearch:
         space.write_text("x:\n  path: no.such.path\n  values:\n    - 1\n")
         from seqrig.resolver import ResolveError
         with pytest.raises(ResolveError, match="no.such.path"):
+            random_search(cfg, space, trials=1)
+
+    def test_invalid_slot_path_names_the_slot_location(self, tmp_path):
+        cfg = tmp_path / "base.yaml"
+        cfg.write_text("base: !Experiment\n  exp_global: !ExpGlobal {}\n")
+        space = tmp_path / "space.yaml"
+        space.write_text("ok:\n  path: exp_global\n  values:\n    - 1\n"
+                         "x:\n  path: exp_global.nope.deeper\n  values:\n    - 1\n")
+        with pytest.raises(ResolveError, match=r"not found .*\(line 6, col 3\)"):
             random_search(cfg, space, trials=1)
 
     def test_non_string_slot_path_exits_with_error(self, tmp_path, capsys):

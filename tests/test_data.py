@@ -107,6 +107,19 @@ class TestFeatureReader:
         with pytest.raises(DataError, match=r"f:3: non-numeric"):
             FeatureReader().read(path)
 
+    @pytest.mark.parametrize("header", ["utt u2 -1 2", "utt u2 2 0", "utt u2 1 -3"])
+    def test_negative_frame_count_or_empty_dim_reports_line(self, tmp_path, header):
+        path = tmp_path / "f"
+        path.write_text(f"utt u1 1 2\n1 2\n{header}\n1 2\n")
+        with pytest.raises(DataError, match=r"f:3: header needs T >= 0 and d >= 1"):
+            FeatureReader().read(path)
+
+    def test_zero_frames_stay_legal(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_text("utt u1 0 2\nutt u2 1 2\n1 2\n")
+        mats = FeatureReader().read(path)
+        assert [m.shape for m in mats] == [(0, 2), (1, 2)]
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "f"
         path.write_text("utterance u1 2 3\n")

@@ -333,6 +333,22 @@ class TestOverwrites:
         with pytest.raises(ResolveError, match="does not address"):
             apply_overwrites(base, [Overwrite("a.b.c", ConfigNode.scalar(1))])
 
+    @pytest.mark.parametrize("path, message", [
+        ("model.nonexistent.x", "does not address"),
+        ("xs.5", "out of range"),
+        ("", "empty segment"),
+        ("model..dim", "empty segment"),
+        ("model.", "empty segment"),
+    ])
+    def test_overwrite_errors_name_the_item_location(self, path, message):
+        base = parse_config("model:\n  dim: 4\nxs:\n  - 1\n")
+        overwrites = parse_overwrites(parse_config(
+            f"o:\n  - path: exp_global\n    val: 1\n  - path: '{path}'\n    val: 2\n").get("o"))
+        with pytest.raises(ResolveError, match=message) as err:
+            apply_overwrites(base, overwrites)
+        assert err.value.loc == (4, 5)
+        assert "(line 4, col 5)" in str(err.value)
+
     def test_original_tree_is_not_mutated(self):
         base = parse_config("a: 1\n")
         apply_overwrites(base, [Overwrite("a", ConfigNode.scalar(2))])

@@ -213,6 +213,13 @@ class TestBackward:
         collect(T.esum(T.tanh(p.expr())), second)
         assert not (set(first) & set(second))
 
+    def test_parameter_leaves_add_straight_into_parameter_grad(self):
+        p = Parameter("p", np.asarray([1.0, 2.0]))
+        first, second = p.expr(), p.expr()  # two leaves of one parameter in one graph
+        assert first.grad is p.grad and second.grad is p.grad
+        backward(T.add(T.esum(first), T.esum(T.scale(second, 3.0))))
+        np.testing.assert_array_equal(p.grad, [4.0, 4.0])
+
     def test_gradients_accumulate_across_backwards(self):
         p = Parameter("p", np.ones(2))
         backward(T.esum(p.expr()))

@@ -11,6 +11,7 @@ from seqrig.components import default_registry
 from seqrig.configlang import parse_config
 from seqrig.data import ES, Batch, SrcBatcher
 from seqrig.log import Logger
+from seqrig.nn import DenseWordEmbedder
 from seqrig.optim import SgdTrainer
 from seqrig.resolver import instantiate_graph
 from seqrig.tensor import NonFiniteError, Parameter, backward, clip_global_norm
@@ -19,7 +20,7 @@ from seqrig.training import (DevRecord, TrainContext, TrainingError, apply_weigh
                              reinforce_loss, reinforce_surrogate,
                              run_dev_tasks_and_decay, save_checkpoint, save_weights)
 
-from helpers import tiny_translator
+from helpers import reference_param_expr, tiny_translator
 
 
 class CaptureLogger(Logger):
@@ -191,6 +192,43 @@ class TestReinforce:
         with pytest.raises(TrainingError, match="reward"):
             reinforce_loss(model, batch, lambda h, r: float("nan"), 0.0,
                            np.random.default_rng(0))
+
+
+class TestParameterLeafGradients:
+    """Leaves that add straight into ``Parameter.grad`` against leaves with a
+    buffer of their own (``helpers.reference_param_expr``)."""
+
+    # a leaf read by several ops: the oracle sums their contributions in the
+    # leaf before adding the total, so the last bits may differ
+    SHARED_LEAVES = ("model.attender.w_enc", "model.attender.b", "model.attender.v")
+
+    @staticmethod
+    def _gradients(model_kwargs, loss_kind):
+        model, runtime = tiny_translator(seed=3, dim=4, n_content=3, dropout=0.3,
+                                         word_dropout=0.25, **model_kwargs)
+        batch = SrcBatcher(3).make_batches([[3, 4, 5], [4, 3], [5]],
+                                           [[4, 3, ES], [3, ES], [5, 4, 3, ES]])[0]
+        if loss_kind == "mle":
+            loss, _ = model.calc_loss(batch, train=True, label_smoothing=0.1)
+        else:
+            loss, _, _ = reinforce_loss(model, batch, bleu_reward, 0.2, runtime.rng)
+        backward(loss)
+        return {p.name: p.grad.copy() for p in runtime.params}
+
+    @pytest.mark.parametrize("loss_kind", ["mle", "reinforce"])
+    @pytest.mark.parametrize("model_kwargs", [
+        {}, dict(tied=True, trg_embedder_cls=DenseWordEmbedder)], ids=["untied", "tied"])
+    def test_equal_to_leaves_with_their_own_buffer(self, model_kwargs, loss_kind, monkeypatch):
+        grads = self._gradients(model_kwargs, loss_kind)
+        monkeypatch.setattr(Parameter, "expr", reference_param_expr)
+        expected = self._gradients(model_kwargs, loss_kind)
+        assert list(grads) == list(expected)
+        assert all(np.any(g != 0.0) for g in grads.values())
+        for name, grad in grads.items():
+            if name in self.SHARED_LEAVES:
+                np.testing.assert_allclose(grad, expected[name], rtol=1e-12, atol=0.0)
+            else:
+                np.testing.assert_array_equal(grad, expected[name], err_msg=name)
 
 
 class ScriptedDevTask:
