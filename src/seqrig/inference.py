@@ -11,10 +11,14 @@ at equal score, toward the earlier-finished hypothesis.
 
 The live beam is stepped as the rows of one ``model.next_logprobs`` call,
 which takes n previous ids and an n-row state and returns an (n, V)
-log-prob matrix; ``model.select_rows`` keeps the state rows that survive
+log-softmax node; ``model.select_rows`` keeps the state rows that survive
 pruning.  Greedy search is the beam of size 1.  Candidates are ranked by
 score, then token id, then beam slot, so batching changes no tie-break.
-Sampling steps one row at a time.
+
+:func:`sample_rows` is the one sampler, for ``strategy: sample`` and for
+REINFORCE training: the rows of a decoder state step in lockstep as one
+``model.next_logprobs`` call and draw their tokens in row order, keeping
+each row's log-probability as a graph node.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import tensor as T
 from .data import ES, SS
 
 STRATEGIES = ("greedy", "beam", "sample")
@@ -43,6 +48,10 @@ class SearchSpec:
             raise ValueError(f"unknown search strategy '{self.strategy}'")
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
+        if self.max_len is not None and self.max_len < 1:
+            raise ValueError("max_len must be >= 1")
+        if self.sample_n < 1:
+            raise ValueError("sample_n must be >= 1")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         if self.length_norm_exp < 0:
@@ -93,7 +102,7 @@ def _beam_search(model, ctx, max_len: int, k: int) -> list[Hypothesis]:
         prev = [seq[-1] if seq else SS for seq in ids]
         state, logprobs = model.next_logprobs(ctx, state, prev)
         n = len(ids)
-        total = scores[:, None] + logprobs
+        total = scores[:, None] + logprobs.value
         # flat index token * n + slot: a stable sort of the negated scores
         # breaks ties toward the lower token id, then the earlier slot
         order = np.argsort(-total.T.ravel(), kind="stable")[:k]
@@ -126,29 +135,37 @@ def _beam_search(model, ctx, max_len: int, k: int) -> list[Hypothesis]:
     return pool
 
 
-def _sample_search(model, ctx, max_len: int, n: int, temperature: float,
-                   rng: np.random.Generator) -> list[Hypothesis]:
-    pool = []
-    for _ in range(n):
-        ids: list[int] = []
-        state = ctx.initial
-        logprob = 0.0
-        finished = False
-        for _ in range(max_len):
-            prev = ids[-1] if ids else SS
-            state, logprobs = model.next_logprobs(ctx, state, [prev])
-            logprobs = logprobs[0]
-            scaled = logprobs / temperature
+def sample_rows(model, ctx, state, max_lens: list[int], temperature: float,
+                rng: np.random.Generator) -> tuple[list[list[int]], T.Expr]:
+    """Draw one sequence per row of ``state``; returns the ids of each row and
+    the (n,) node of each row's summed token log-probabilities.
+
+    All rows step together as one ``model.next_logprobs`` call, and within a
+    step they draw in row order from ``softmax(logprobs / temperature)``.
+    Row r stops after the end token or after ``max_lens[r]`` (>= 1) tokens.
+    A stopped row keeps stepping, since its state cannot leave the graph,
+    but it draws nothing and adds an exact zero to its total.
+    """
+    ids: list[list[int]] = [[] for _ in max_lens]
+    live = [True] * len(max_lens)
+    total = None
+    while any(live):
+        prev = [seq[-1] if seq else SS for seq in ids]
+        state, logprobs = model.next_logprobs(ctx, state, prev)
+        picked = np.zeros(logprobs.shape)
+        for r, seq in enumerate(ids):
+            if not live[r]:
+                continue
+            scaled = logprobs.value[r] / temperature
             probs = np.exp(scaled - scaled.max())
             probs /= probs.sum()
             token = int(rng.choice(len(probs), p=probs))
-            logprob += float(logprobs[token])
-            ids.append(token)
-            if token == ES:
-                finished = True
-                break
-        pool.append(Hypothesis(ids=ids, logprob=logprob, finished=finished))
-    return pool
+            seq.append(token)
+            picked[r, token] = 1.0
+            live[r] = token != ES and len(seq) < max_lens[r]
+        term = T.sum_last(T.mul(logprobs, T.const(picked)))
+        total = term if total is None else T.add(total, term)
+    return ids, total
 
 
 def decode(model, src_item, spec: SearchSpec,
@@ -161,7 +178,11 @@ def decode(model, src_item, spec: SearchSpec,
     if spec.strategy == "sample":
         if rng is None:
             raise ValueError("sampling needs an RNG")
-        pool = _sample_search(model, ctx, max_len, spec.sample_n, spec.temperature, rng)
+        n = spec.sample_n
+        rows, logprobs = sample_rows(model, ctx, model.select_rows(ctx.initial, [0] * n),
+                                     [max_len] * n, spec.temperature, rng)
+        pool = [Hypothesis(ids=seq, logprob=float(lp), finished=seq[-1] == ES)
+                for seq, lp in zip(rows, logprobs.value.tolist())]
     else:
         k = 1 if spec.strategy == "greedy" else spec.beam_size
         pool = _beam_search(model, ctx, max_len, k)

@@ -442,7 +442,8 @@ class MlpSoftmaxDecoder:
 
 @dataclass
 class DecodeContext:
-    """Per-sentence inference state shared by all hypotheses."""
+    """An encoded batch: the attention state its decoder steps read, and the
+    initial decoder state, one row per sentence."""
 
     att: AttentionState
     initial: DecoderState
@@ -489,16 +490,14 @@ class DefaultTranslator:
             raise ValueError("label_smoothing must be in [0, 1)")
         if batch.size == 0 or batch.trg.shape[1] == 0:
             raise ValueError("empty batch")
-        enc = self.encode(batch.src, batch.src_mask, train)
-        att = self.attender.init_sent(enc)
-        state = self.decoder.initial_state(enc)
+        ctx = self.start(batch.src, batch.src_mask, train)
+        state = ctx.initial
         batch_size, t_max = batch.trg.shape
         vocab = self.decoder.vocab_size
         prev = np.full((batch_size,), SS, dtype=np.int64)
         loss = None
         for t in range(t_max):
-            emb = self.trg_embedder.embed_step(prev, train)
-            state, logits = self.decoder.step(state, emb, self.attender, att, train)
+            state, logits = self.step(ctx, state, prev, train)
             gold = batch.trg[:, t]
             pick = T.pick_neg_log_softmax(logits, gold)
             if label_smoothing > 0.0:
@@ -512,31 +511,39 @@ class DefaultTranslator:
             prev = gold
         return loss, batch.n_trg_tokens()
 
-    # -- single-sentence inference ------------------------------------------
+    def start(self, src: np.ndarray, src_mask: np.ndarray, train: bool) -> DecodeContext:
+        """Encode a padded batch: its attention state and initial decoder state."""
+        enc = self.encode(src, src_mask, train)
+        return DecodeContext(att=self.attender.init_sent(enc),
+                             initial=self.decoder.initial_state(enc))
+
+    def step(self, ctx: DecodeContext, state: DecoderState, prev_ids,
+             train: bool) -> tuple[DecoderState, Expr]:
+        """Embed the previous ids and run one decoder step: (state, logits)."""
+        emb = self.trg_embedder.embed_step(np.asarray(prev_ids, dtype=np.int64), train)
+        return self.decoder.step(state, emb, self.attender, ctx.att, train)
+
+    # -- inference ----------------------------------------------------------
 
     def start_decode(self, src_item) -> DecodeContext:
+        """:meth:`start` on the one-row batch of ``src_item``."""
         if isinstance(src_item, np.ndarray):
             src = src_item[None, :, :]
-            mask = np.ones((1, src_item.shape[0]))
         else:
             if len(src_item) == 0:
                 raise ValueError("empty source sequence")
             src = np.asarray([src_item], dtype=np.int64)
-            mask = np.ones((1, len(src_item)))
-        enc = self.encode(src, mask, train=False)
-        att = self.attender.init_sent(enc)
-        return DecodeContext(att=att, initial=self.decoder.initial_state(enc))
+        return self.start(src, np.ones(src.shape[:2]), train=False)
 
     def next_logprobs(self, ctx: DecodeContext, state: DecoderState,
-                      prev_ids) -> tuple[DecoderState, np.ndarray]:
+                      prev_ids) -> tuple[DecoderState, Expr]:
         """One decoder step for n hypotheses: n previous ids, an n-row state.
 
-        Returns the new n-row state and the (n, V) log-probabilities.  The
-        one-row attention state broadcasts against the n decoder rows.
+        Returns the new n-row state and the (n, V) log-softmax node.  An
+        attention state of one row broadcasts against the n decoder rows.
         """
-        emb = self.trg_embedder.embed_step(np.asarray(prev_ids, dtype=np.int64), False)
-        state, logits = self.decoder.step(state, emb, self.attender, ctx.att, False)
-        return state, T.log_softmax(logits).value
+        state, logits = self.step(ctx, state, prev_ids, False)
+        return state, T.log_softmax(logits)
 
     @staticmethod
     def select_rows(state: DecoderState, rows: list[int]) -> DecoderState:

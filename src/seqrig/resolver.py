@@ -175,18 +175,24 @@ def resolve_references(root: ConfigNode) -> ReferencePlan:
     """
     paths: dict[str, ConfigNode] = {}
 
-    def collect(node: ConfigNode, path: str) -> None:
+    def collect(node: ConfigNode, path: str, loc: Loc) -> None:
+        # keys may contain '.', so `a.b: 1` beside `a: {b: 2}` names two
+        # nodes 'a.b'; neither may silently win
+        if path in paths:
+            raise ResolveError("key path is already taken by an earlier key",
+                               path=path, loc=loc)
         paths[path] = node
         if _is_ref(node):
             return
         if node.kind == MAPPING:
             for key, child in node.children:
-                collect(child, f"{path}.{key}" if path else key)
+                collect(child, f"{path}.{key}" if path else key,
+                        node.key_locs.get(key, child.loc))
         elif node.kind == SEQUENCE:
             for i, child in enumerate(node.children):
-                collect(child, f"{path}.{i}" if path else str(i))
+                collect(child, f"{path}.{i}" if path else str(i), child.loc)
 
-    collect(root, "")
+    collect(root, "", root.loc)
     schedule: list[str] = []
     aliases: set = set()
     state: dict[str, int] = {}

@@ -279,23 +279,6 @@ def sigmoid(a: Expr) -> Expr:
     return Expr(out, (a,), "sigmoid", bwd)
 
 
-def exp(a: Expr) -> Expr:
-    def bwd(node: Expr) -> None:
-        a._accum(node.grad * node.value)
-
-    return Expr(np.exp(a.value), (a,), "exp", bwd)
-
-
-def log(a: Expr) -> Expr:
-    if np.any(a.value <= 0):
-        raise ValueError("log requires strictly positive inputs")
-
-    def bwd(node: Expr) -> None:
-        a._accum(node.grad / a.value)
-
-    return Expr(np.log(a.value), (a,), "log", bwd)
-
-
 def matmul(a: Expr, b: Expr) -> Expr:
     if a.value.ndim != 2 or b.value.ndim != 2:
         raise ValueError("matmul requires 2-D operands")

@@ -9,6 +9,10 @@ Gradients get a single global-norm clip at 5.0 before every step, and every
 parameter is checked for NaN or Inf after it, so a bad update aborts at its
 own batch, naming ``param:<name>``.
 
+REINFORCE (``loss: reinforce``) encodes each batch once and samples all of
+its rows in lockstep through :func:`seqrig.inference.sample_rows`, the
+sampler that ``strategy: sample`` decoding uses.
+
 Checkpoint layout under ``<model_file>/``: ``spec.yaml`` (the dumped
 experiment, runnable as-is) and ``weights.txt`` (per parameter a header
 ``param <name> <rank> <d1..dk>`` followed by row-major decimals with 17
@@ -26,7 +30,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import ES, SrcBatcher, Batch
-from .inference import default_max_len
+from .inference import default_max_len, sample_rows
 from .log import Logger, fmt_value
 from .metrics import sentence_bleu_smooth
 from .optim import AdamTrainer
@@ -56,13 +60,16 @@ class TrainContext:
 # ---------------------------------------------------------------------------
 
 
-def reinforce_surrogate(neg_logprob_sum: T.Expr, reward: float, baseline: float) -> T.Expr:
-    """Policy-gradient surrogate for one sampled sequence.
+def reinforce_surrogate(neg_logprob: T.Expr, reward, baseline: float) -> T.Expr:
+    """Policy-gradient surrogate for sampled sequences.
 
-    The reward is treated as a constant, so backward through
-    ``(reward - baseline) * sum(-log p)`` yields the REINFORCE gradient.
+    ``neg_logprob`` holds each sequence's ``sum(-log p)`` and ``reward`` one
+    reward per sequence (a scalar for one).  Rewards are constants, so
+    backward through ``sum((reward - baseline) * sum(-log p))`` yields the
+    REINFORCE gradient.
     """
-    return T.scale(neg_logprob_sum, reward - baseline)
+    advantage = np.asarray(reward, dtype=np.float64) - baseline
+    return T.esum(T.mul(neg_logprob, T.const(advantage)))
 
 
 def _strip_eos(ids: list[int]) -> list[int]:
@@ -74,58 +81,29 @@ def bleu_reward(hyp_ids: list[int], ref_ids: list[int]) -> float:
     return sentence_bleu_smooth(_strip_eos(hyp_ids), _strip_eos(ref_ids))
 
 
-def sample_sequence(model, ctx, rng: np.random.Generator, max_len: int):
-    """Draw one sequence from the model, keeping -log p terms in the graph."""
-    from .data import SS
-
-    state = ctx.initial
-    ids: list[int] = []
-    terms = []
-    for _ in range(max_len):
-        prev = ids[-1] if ids else SS
-        emb = model.trg_embedder.embed_step(np.asarray([prev], dtype=np.int64), False)
-        state, logits = model.decoder.step(state, emb, model.attender, ctx.att, False)
-        probs = T._softmax_value(logits.value[0])
-        token = int(rng.choice(len(probs), p=probs))
-        terms.append(T.esum(T.pick_neg_log_softmax(logits, np.asarray([token]))))
-        ids.append(token)
-        if token == ES:
-            break
-    total = terms[0]
-    for term in terms[1:]:
-        total = T.add(total, term)
-    return ids, total
-
-
 def reinforce_loss(model, batch: Batch, reward_fn: Callable = bleu_reward,
                    baseline: float = 0.0, rng: Optional[np.random.Generator] = None):
     """Sampled policy-gradient loss over a batch.
 
-    Each row is sampled autoregressively up to 2*src_len+5 tokens; rows that
-    never emit the end token are truncated and rewarded as-is.  Returns the
-    surrogate loss node, the mean reward, and the sampled token count.
+    The batch is encoded once and its rows are sampled in lockstep by
+    :func:`~seqrig.inference.sample_rows`, each up to 2*src_len+5 tokens;
+    rows that never emit the end token are truncated and rewarded as-is.
+    Returns the surrogate loss node, the mean reward, and the sampled token
+    count.
     """
     if rng is None:
         raise ValueError("reinforce_loss needs the experiment RNG")
-    loss = None
+    ctx = model.start(batch.src, batch.src_mask, train=False)
+    max_lens = [default_max_len(int(n)) for n in batch.src_mask.sum(axis=1)]
+    rows, logprob = sample_rows(model, ctx, ctx.initial, max_lens, 1.0, rng)
     rewards = []
-    n_tokens = 0
-    for row in range(batch.size):
-        if batch.src.ndim == 3:
-            src_item = batch.src[row][batch.src_mask[row] > 0]
-        else:
-            src_item = [int(t) for t, m in zip(batch.src[row], batch.src_mask[row]) if m > 0]
-        ref = [int(t) for t, m in zip(batch.trg[row], batch.trg_mask[row]) if m > 0]
-        ctx = model.start_decode(src_item)
-        ids, neg_logprob = sample_sequence(model, ctx, rng, default_max_len(model.src_length(src_item)))
-        reward = float(reward_fn(ids, ref))
+    for ids, trg, trg_mask in zip(rows, batch.trg, batch.trg_mask):
+        reward = float(reward_fn(ids, [int(t) for t, m in zip(trg, trg_mask) if m > 0]))
         if not np.isfinite(reward):
             raise TrainingError("reward function returned a non-finite value")
         rewards.append(reward)
-        term = reinforce_surrogate(neg_logprob, reward, baseline)
-        loss = term if loss is None else T.add(loss, term)
-        n_tokens += len(ids)
-    return loss, float(np.mean(rewards)), n_tokens
+    loss = reinforce_surrogate(T.scale(logprob, -1.0), rewards, baseline)
+    return loss, float(np.mean(rewards)), sum(len(ids) for ids in rows)
 
 
 # ---------------------------------------------------------------------------

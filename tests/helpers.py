@@ -1,12 +1,14 @@
 """Shared test utilities: gradient checking, tiny models, toy search models,
-the per-hypothesis beam search oracle."""
+the per-hypothesis beam search oracle and the one-row-at-a-time sampling
+oracles."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from seqrig import tensor as T
 from seqrig.data import ES, SS, PlainTextReader, Vocab
-from seqrig.inference import Hypothesis
+from seqrig.inference import Hypothesis, default_max_len
 from seqrig.nn import (BiLSTMSeqTransducer, CopyBridge, DecodeContext,
                        DefaultTranslator, MlpAttender, MlpSoftmaxDecoder,
                        SimpleWordEmbedder)
@@ -111,7 +113,9 @@ class PrefixTableModel:
     Implements the decode interface (start_decode / next_logprobs /
     select_rows / src_length).  The running state holds one prefix tuple of
     emitted tokens per row (None before the first step), so exhaustive
-    enumeration is trivial.
+    enumeration is trivial.  ``next_logprobs`` returns ``const`` rows, and
+    answers a prefix past the end token with the root row: a sampled row
+    that has stopped keeps stepping, but its row is never read.
     """
 
     def __init__(self, vocab_size: int, max_len: int, seed: int):
@@ -140,7 +144,7 @@ class PrefixTableModel:
 
     def next_logprobs(self, ctx, state, prev_ids):
         prefixes = [() if s is None else s + (int(p),) for s, p in zip(state, prev_ids)]
-        return prefixes, np.stack([self.table[p] for p in prefixes])
+        return prefixes, T.const(np.stack([self.table[() if ES in p else p] for p in prefixes]))
 
     @staticmethod
     def select_rows(state, rows):
@@ -162,6 +166,7 @@ def reference_beam_search(model, ctx, max_len: int, k: int) -> list[Hypothesis]:
         for slot, (ids, logprob, state) in enumerate(active):
             prev = ids[-1] if ids else SS
             state, logprobs = model.next_logprobs(ctx, state, [prev])
+            logprobs = logprobs.value
             for token in range(logprobs.shape[1]):
                 candidates.append((logprob + float(logprobs[0, token]), token, slot, state))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
@@ -204,3 +209,108 @@ def enumerate_hypotheses(model: PrefixTableModel, max_len: int):
 
     walk((), 0.0)
     return out
+
+
+class QuantileRng:
+    """RNG stub whose ``choice`` returns the first index at which the
+    cumulative probability passes a quantile, so a row's draw does not
+    depend on how many draws came before it.  The quantile is ``u`` or, when
+    ``u`` is None, the fractional part of ``1000 * p[-1]``, which varies
+    from step to step and row to row.  Counts its draws."""
+
+    def __init__(self, u: float | None):
+        self.u = u
+        self.draws = 0
+
+    def choice(self, n: int, p) -> int:
+        self.draws += 1
+        u = self.u if self.u is not None else (1000.0 * p[-1]) % 1.0
+        return min(int(np.searchsorted(np.cumsum(p), u, side="right")), n - 1)
+
+
+class CountingRng:
+    """A seeded numpy Generator whose ``choice`` calls are counted."""
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def choice(self, n: int, p):
+        self.draws += 1
+        return self.rng.choice(n, p=p)
+
+
+def reference_sample_sequence(model, ctx, rng, max_len: int):
+    """Draw one sequence from one row, keeping -log p terms in the graph.
+
+    The REINFORCE sampler that :func:`seqrig.inference.sample_rows`
+    replaced; kept as its oracle.
+    """
+    state = ctx.initial
+    ids: list[int] = []
+    terms = []
+    for _ in range(max_len):
+        prev = ids[-1] if ids else SS
+        emb = model.trg_embedder.embed_step(np.asarray([prev], dtype=np.int64), False)
+        state, logits = model.decoder.step(state, emb, model.attender, ctx.att, False)
+        probs = T._softmax_value(logits.value[0])
+        token = int(rng.choice(len(probs), p=probs))
+        terms.append(T.esum(T.pick_neg_log_softmax(logits, np.asarray([token]))))
+        ids.append(token)
+        if token == ES:
+            break
+    total = terms[0]
+    for term in terms[1:]:
+        total = T.add(total, term)
+    return ids, total
+
+
+def reference_reinforce_loss(model, batch, reward_fn, baseline: float, rng):
+    """The per-row REINFORCE loss that the lockstep one replaced: each row is
+    encoded alone and sampled by :func:`reference_sample_sequence`."""
+    loss = None
+    rewards = []
+    n_tokens = 0
+    for row in range(batch.size):
+        if batch.src.ndim == 3:
+            src_item = batch.src[row][batch.src_mask[row] > 0]
+        else:
+            src_item = [int(t) for t, m in zip(batch.src[row], batch.src_mask[row]) if m > 0]
+        ref = [int(t) for t, m in zip(batch.trg[row], batch.trg_mask[row]) if m > 0]
+        ctx = model.start_decode(src_item)
+        ids, neg_logprob = reference_sample_sequence(
+            model, ctx, rng, default_max_len(model.src_length(src_item)))
+        reward = float(reward_fn(ids, ref))
+        rewards.append(reward)
+        term = T.scale(neg_logprob, reward - baseline)
+        loss = term if loss is None else T.add(loss, term)
+        n_tokens += len(ids)
+    return loss, float(np.mean(rewards)), n_tokens
+
+
+def reference_sample_search(model, ctx, max_len: int, n: int, temperature: float,
+                            rng) -> list[Hypothesis]:
+    """The ``strategy: sample`` search that :func:`seqrig.inference.sample_rows`
+    replaced: n samples, one after another, each stepping one row.  Returns
+    the unranked pool; kept as its oracle."""
+    pool = []
+    for _ in range(n):
+        ids: list[int] = []
+        state = ctx.initial
+        logprob = 0.0
+        finished = False
+        for _ in range(max_len):
+            prev = ids[-1] if ids else SS
+            state, logprobs = model.next_logprobs(ctx, state, [prev])
+            logprobs = logprobs.value[0]
+            scaled = logprobs / temperature
+            probs = np.exp(scaled - scaled.max())
+            probs /= probs.sum()
+            token = int(rng.choice(len(probs), p=probs))
+            logprob += float(logprobs[token])
+            ids.append(token)
+            if token == ES:
+                finished = True
+                break
+        pool.append(Hypothesis(ids=ids, logprob=logprob, finished=finished))
+    return pool

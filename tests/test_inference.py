@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from seqrig.inference import (Hypothesis, SearchSpec, _rank, decode, default_max_len,
-                              normalize_score)
+                              normalize_score, sample_rows)
 
-from helpers import (PrefixTableModel, enumerate_hypotheses, reference_beam_search,
-                     tiny_translator)
+from helpers import (CountingRng, PrefixTableModel, QuantileRng, enumerate_hypotheses,
+                     reference_beam_search, reference_sample_search, tiny_translator)
 
 
 class TestNormalizeScore:
@@ -37,6 +37,15 @@ class TestSearchSpec:
             SearchSpec(strategy="sample", temperature=0.0)
         with pytest.raises(ValueError):
             SearchSpec(length_norm_exp=-1.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(max_len=0), "max_len"), (dict(strategy="beam", beam_size=3, max_len=-1), "max_len"),
+        (dict(strategy="sample", sample_n=0), "sample_n"),
+    ])
+    def test_decode_limits_below_one_rejected(self, kwargs, message):
+        # these once decoded to an empty hypothesis list
+        with pytest.raises(ValueError, match=f"{message} must be >= 1"):
+            SearchSpec(**kwargs)
 
 
 class TestBeamSearch:
@@ -220,6 +229,87 @@ class TestSampling:
         model = PrefixTableModel(vocab_size=3, max_len=3, seed=5)
         with pytest.raises(ValueError, match="RNG"):
             decode(model, model.src, SearchSpec(strategy="sample"))
+
+
+def _start_padded(model, srcs):
+    """``model.start`` on the padded batch of ``srcs``."""
+    src = np.zeros((len(srcs), max(len(s) for s in srcs)), dtype=np.int64)
+    mask = np.zeros(src.shape)
+    for r, ids in enumerate(srcs):
+        src[r, :len(ids)] = ids
+        mask[r, :len(ids)] = 1.0
+    return model.start(src, mask, train=False)
+
+
+class TestSampleRowsMatchesOracle:
+    """Rows sampled in lockstep against the one-row-at-a-time search they
+    replaced (``helpers.reference_sample_search``)."""
+
+    @staticmethod
+    def _assert_same_samples(found, expected):
+        assert [h.ids for h in found] == [h.ids for h in expected]
+        assert [h.finished for h in found] == [h.finished for h in expected]
+        for a, b in zip(found, expected):
+            assert abs(a.logprob - b.logprob) <= 1e-12
+
+    @pytest.mark.parametrize("u", [0.2, 0.5, 0.9, None], ids=["u0.2", "u0.5", "u0.9", "varied"])
+    @pytest.mark.parametrize("temperature", [1.0, 0.5])
+    def test_real_models(self, u, temperature):
+        for seed in range(4):
+            model, _ = tiny_translator(seed=seed, dim=4, n_content=3, layers=1 + seed % 2)
+            for src in ([3], [3, 4], [5, 4, 3, 3]):
+                for n in (1, 3):
+                    spec = SearchSpec(strategy="sample", sample_n=n, temperature=temperature)
+                    expected = reference_sample_search(model, model.start_decode(src),
+                                                       default_max_len(len(src)), n,
+                                                       temperature, QuantileRng(u))
+                    self._assert_same_samples(decode(model, src, spec, rng=QuantileRng(u)),
+                                              _rank(expected, 0.0))
+
+    @pytest.mark.parametrize("u", [0.3, 0.6, None], ids=["u0.3", "u0.6", "varied"])
+    def test_toy_models(self, u):
+        # rows that emit the end token keep stepping past it
+        for seed in range(10):
+            model = PrefixTableModel(vocab_size=3, max_len=4, seed=seed)
+            spec = SearchSpec(strategy="sample", sample_n=4, max_len=4)
+            expected = reference_sample_search(model, model.start_decode(model.src), 4, 4,
+                                               1.0, QuantileRng(u))
+            self._assert_same_samples(decode(model, model.src, spec, rng=QuantileRng(u)),
+                                      _rank(expected, 0.0))
+
+    def test_one_sample_is_bitwise_the_oracle_under_a_real_stream(self):
+        for seed in range(5):
+            model, _ = tiny_translator(seed=seed, dim=4, n_content=3)
+            spec = SearchSpec(strategy="sample", sample_n=1, temperature=0.7)
+            found = decode(model, [3, 4, 5], spec, rng=np.random.default_rng(seed))
+            expected = reference_sample_search(model, model.start_decode([3, 4, 5]),
+                                               default_max_len(3), 1, 0.7,
+                                               np.random.default_rng(seed))
+            assert [(h.ids, h.logprob, h.finished) for h in found] == \
+                [(h.ids, h.logprob, h.finished) for h in expected]
+
+    @pytest.mark.parametrize("u", [0.5, 0.9, None], ids=["u0.5", "u0.9", "varied"])
+    def test_row_alone_equals_row_in_a_padded_batch(self, u):
+        short = [4, 3]
+        for seed in range(4):
+            model, _ = tiny_translator(seed=seed, dim=4, n_content=3, layers=1 + seed % 2)
+            results = []
+            for srcs, row in (([short], 0), ([[3, 5, 4, 4], short, [5, 5, 3]], 1)):
+                ctx = _start_padded(model, srcs)
+                ids, logprob = sample_rows(model, ctx, ctx.initial,
+                                           [default_max_len(len(s)) for s in srcs], 1.0,
+                                           QuantileRng(u))
+                results.append((ids[row], float(logprob.value[row])))
+            (alone, lp_alone), (batched, lp_batched) = results
+            assert alone == batched
+            assert abs(lp_alone - lp_batched) <= 1e-12
+
+    def test_rows_draw_once_per_sampled_token(self):
+        model, _ = tiny_translator(seed=3, dim=4, n_content=3)
+        for seed in range(5):
+            rng = CountingRng(seed)
+            hyps = decode(model, [3, 4], SearchSpec(strategy="sample", sample_n=6), rng=rng)
+            assert rng.draws == sum(len(h.ids) for h in hyps)
 
 
 class TestHypothesis:

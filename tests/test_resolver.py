@@ -141,6 +141,17 @@ class TestResolveReferences:
         with pytest.raises(ResolveError, match="path"):
             resolve_references(tree)
 
+    @pytest.mark.parametrize("text, path, loc", [
+        ("a.b: 1\na:\n  b: 2\n", "a.b", (3, 3)),
+        ("a:\n  b: 2\na.b: 1\n", "a.b", (3, 1)),
+        ("a.0: 1\na:\n  - 2\n", "a.0", (3, 5)),
+    ], ids=["dotted-first", "nested-first", "sequence-index"])
+    def test_dotted_key_colliding_with_a_nested_path_rejected(self, text, path, loc):
+        # both nodes would be named by one path, and the later one would win
+        with pytest.raises(ResolveError, match="already taken") as err:
+            resolve_references(parse_config(text))
+        assert err.value.path == path and err.value.loc == loc
+
 
 class TestInstantiate:
     def test_reference_document_defaults(self, copy_data, tmp_path):
@@ -223,6 +234,18 @@ class TestInstantiate:
         tree = parse_config("e: !Experiment\n  a: &x 1\n  b: *x\n").get("e")
         with pytest.raises(ResolveError, match="alias"):
             instantiate_graph(tree, default_registry(), "e")
+
+    @pytest.mark.parametrize("field", ["max_len: 0", "sample_n: 0"])
+    def test_decode_limit_below_one_reports_location(self, copy_data, tmp_path, field):
+        text = fill(STANDARD_CONFIG, copy_data, tmp_path).replace(
+            "default_layer_dim: 512", "default_layer_dim: 8").replace(
+            "emb_dim: 128", "emb_dim: 8").replace(
+            "    eval_metrics: bleu\n", f"    eval_metrics: bleu\n    {field}\n")
+        name = field.split(":")[0]
+        with pytest.raises(ResolveError, match=f"{name} must be >= 1") as err:
+            instantiate_graph(parse_config(text).get("mini_experiment"),
+                              default_registry(), "mini_experiment")
+        assert err.value.path == "evaluate.0" and err.value.loc is not None
 
     def test_ref_interface_violation_fails_at_construction(self, copy_data):
         # duck typing: pointing the projector Ref at the encoder only fails

@@ -37,13 +37,9 @@ class TestForwardValues:
         out = T.sigmoid(const([-800.0, 800.0]))
         np.testing.assert_allclose(out.value, [0.0, 1.0], atol=1e-12)
 
-    def test_log_domain_error(self):
-        with pytest.raises(ValueError, match="positive"):
-            T.log(const([1.0, 0.0]))
-
     def test_nonfinite_forward_aborts_with_op_name(self):
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="exp"):
-            T.exp(const([1000.0]))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="mul"):
+            T.mul(const([1e200]), const([1e200]))
 
     @pytest.mark.parametrize("values", [
         [1e308, 1e308],  # the sum overflows to inf
@@ -306,9 +302,7 @@ class TestRuntimeDeterminism:
 def _random_op_loss(rng: np.random.Generator, params: list):
     """Build a random depth-<=5 graph over the given parameter leaves."""
     exprs = [p.expr() for p in params]
-    unary = [T.tanh, T.sigmoid, lambda x: T.exp(T.scale(x, 0.1)),
-             lambda x: T.log(T.add(T.mul(x, x), const(np.ones(x.shape) * 0.5))),
-             lambda x: T.scale(x, -1.7), T.softmax, T.log_softmax]
+    unary = [T.tanh, T.sigmoid, lambda x: T.scale(x, -1.7), T.softmax, T.log_softmax]
     binary = [T.add, T.mul, lambda x, y: T.add(x, T.scale(y, -1.0))]
     for _ in range(int(rng.integers(2, 6))):
         if rng.random() < 0.5 and len(exprs) >= 2:
@@ -345,9 +339,6 @@ class TestFiniteDifferences:
                 lambda: T.esum(T.add(a.expr(), T.scale(b.expr(), -1.0))),
                 lambda: T.esum(T.tanh(T.add(T.matmul(a.expr(), w.expr()), bias.expr()))),
                 lambda: T.esum(T.sigmoid(T.matmul(a.expr(), w.expr()))),
-                lambda: T.esum(T.exp(T.scale(a.expr(), 0.3))),
-                lambda: T.esum(T.log(T.add(T.mul(a.expr(), a.expr()),
-                                           const(np.full((3, 4), 0.5))))),
                 lambda: T.esum(T.softmax(T.matmul(a.expr(), w.expr()))),
                 lambda: T.esum(T.log_softmax(a.expr())),
                 lambda: T.esum(T.pick_neg_log_softmax(T.matmul(a.expr(), w.expr()),

@@ -20,7 +20,8 @@ from seqrig.training import (DevRecord, TrainContext, TrainingError, apply_weigh
                              reinforce_loss, reinforce_surrogate,
                              run_dev_tasks_and_decay, save_checkpoint, save_weights)
 
-from helpers import reference_param_expr, tiny_translator
+from helpers import (QuantileRng, reference_param_expr, reference_reinforce_loss,
+                     tiny_translator)
 
 
 class CaptureLogger(Logger):
@@ -57,7 +58,7 @@ class TestMleLoss:
         state, total, prev = ctx.initial, 0.0, 0
         for gold in trg:
             state, logprobs = model.next_logprobs(ctx, state, [prev])
-            logprobs = logprobs[0]
+            logprobs = logprobs.value[0]
             total -= logprobs[gold]
             prev = gold
         assert float(loss.value) == pytest.approx(total, rel=1e-12)
@@ -74,7 +75,7 @@ class TestMleLoss:
         eps, gold = 0.2, 4
         ctx = model.start_decode([3, 4])
         _, logprobs = model.next_logprobs(ctx, ctx.initial, [0])
-        logprobs = logprobs[0]
+        logprobs = logprobs.value[0]
         expected = (1 - eps) * -logprobs[gold] + (eps / 5) * -logprobs.sum()
         loss, _ = model.calc_loss(single_batch([3, 4], [gold]), train=False,
                                   label_smoothing=eps)
@@ -192,6 +193,51 @@ class TestReinforce:
         with pytest.raises(TrainingError, match="reward"):
             reinforce_loss(model, batch, lambda h, r: float("nan"), 0.0,
                            np.random.default_rng(0))
+
+
+class TestLockstepReinforceMatchesPerRowOracle:
+    """The batch encoded once and sampled in lockstep against the per-row
+    loss it replaced (``helpers.reference_reinforce_loss``), under an RNG
+    whose draws do not depend on their order."""
+
+    SRC = [[3, 4, 5, 3], [4], [5, 3], [3, 5, 4]]
+    TRG = [[4, 3, ES], [3, ES], [5, 4, 3, ES], [4, ES]]
+
+    @staticmethod
+    def _run(loss_fn, model, runtime, batch, u):
+        for p in runtime.params:
+            p.grad[...] = 0.0
+        sampled = []
+
+        def reward(hyp, ref):
+            sampled.append(list(hyp))
+            return bleu_reward(hyp, ref)
+
+        rng = QuantileRng(u)
+        loss, mean_reward, n_tokens = loss_fn(model, batch, reward, 0.3, rng)
+        backward(loss)
+        grads = {p.name: p.grad.copy() for p in runtime.params}
+        # rows stop at different steps (u varied); a stopped row draws nothing
+        assert rng.draws == n_tokens == sum(len(ids) for ids in sampled)
+        return sampled, float(loss.value), mean_reward, n_tokens, grads
+
+    @pytest.mark.parametrize("model_kwargs", [
+        {}, dict(tied=True, trg_embedder_cls=DenseWordEmbedder)], ids=["untied", "tied"])
+    @pytest.mark.parametrize("u", [0.2, 0.5, 0.9, None], ids=["u0.2", "u0.5", "u0.9", "varied"])
+    def test_same_samples_loss_and_gradients(self, model_kwargs, u):
+        for seed in range(6):
+            model, runtime = tiny_translator(seed=seed, dim=4, n_content=3,
+                                             layers=1 + seed % 2, **model_kwargs)
+            batch = SrcBatcher(4).make_batches(self.SRC, self.TRG)[0]
+            ids, loss, reward, n, grads = self._run(reinforce_loss, model, runtime, batch, u)
+            ref_ids, ref_loss, ref_reward, ref_n, ref_grads = self._run(
+                reference_reinforce_loss, model, runtime, batch, u)
+            assert ids == ref_ids
+            assert (reward, n) == (ref_reward, ref_n)
+            np.testing.assert_allclose(loss, ref_loss, rtol=1e-12, atol=1e-12)
+            for name, grad in grads.items():
+                np.testing.assert_allclose(grad, ref_grads[name], rtol=1e-12, atol=1e-12,
+                                           err_msg=name)
 
 
 class TestParameterLeafGradients:
